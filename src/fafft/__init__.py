@@ -12,13 +12,16 @@ Layering, bottom up:
   twiddle constants they induce.
 - ``basis``: change of basis between monomial and subspace-product
   coefficients, packed over machine words.
-- ``transform``: the recursive reference transforms, cross sections,
-  and operation accounting.
-- ``engine``: the vectorised layer-by-layer evaluator used for bulk
-  multiplication.
+- ``transform``: ``schedule(m)``, the pruned tree written out once per
+  depth, which cross sections, operation counts, ``engine`` and
+  ``circuit`` all read; and the recursive reference transforms that the
+  tests compare against.
+- ``engine``: the vectorised evaluator that runs the schedule depth by
+  depth for bulk multiplication.
 - ``mul``: carryless multiplication entry points and baselines.
-- ``circuit``: straight-line program generation, parsing, evaluation,
-  and verification.
+- ``circuit``: straight-line program generation (the schedule and the
+  basis conversion levels run on wires), parsing, evaluation, and
+  verification.
 """
 
 from .basis import (

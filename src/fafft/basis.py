@@ -6,6 +6,8 @@ exactly the polynomials of degree below 2^k.  Conversion of a length-2^m
 coefficient vector splits off the largest power-of-two block k = binrd(m-1),
 rewrites the input in radix y = s_k(x) = x^(2^k) + x, converts the outer
 vector of y-coefficients, then converts each y-coefficient in place.
+_levels flattens that recursion into one list of radix levels, which
+_convert walks here and circuit.gen_mul_circuit walks on wires.
 
 Everything here operates on bit-packed vectors: one int, W bits per
 coefficient slot, slot i at bits [i*W, (i+1)*W).  GF(2) polynomials use
@@ -57,41 +59,36 @@ def _half_mask(total: int, seg: int) -> int:
     return p
 
 
-def _radix_fwd(f: int, total: int, m: int, k: int, w: int, tally) -> int:
-    """Rewrite every 2^m-slot block of f in radix y = x^(2^k) + x.
+@lru_cache(maxsize=None)
+def _levels(m: int) -> tuple[tuple[int, int, int], ...]:
+    """Radix levels (mu, k, s) of the conversion at 2^m slots, in forward
+    order: level (mu, k, s) rewrites every segment of 2^mu units of 2^s
+    slots in radix y = s_k(x)."""
+    if m <= 1:
+        return ()
+    k = 1 << ((m - 1).bit_length() - 1)
+    outer = tuple((mu, kk, s + k) for mu, kk, s in _levels(m - k))
+    return tuple((mu, k, 0) for mu in range(m, k, -1)) + outer + _levels(k)
 
-    Level mu splits each 2^mu-slot segment as q * y^A + r with A = 2^(mu-1-k)
-    and stores [r | q]; two unconditional fold rounds suffice since A <= H/2.
+
+def _radix_fwd(f: int, low: int, hb: int, ab: int) -> int:
+    """Write every segment of f as q * y^A + r, y^A = x^(2H) + x^A, and
+    store [r | q].
+
+    hb and ab are H and A in bits, and low masks the low half of every
+    segment.  Two unconditional fold rounds suffice since A <= H/2.
     """
-    for mu in range(m, k, -1):
-        seg = (w << mu)
-        hb = seg >> 1
-        ab = w << (mu - 1 - k)
-        low = _half_mask(total, seg)
-        t = (f >> hb) & low
-        q = t
-        r = (f & low) ^ (t << ab)
-        t = (r >> hb) & low
-        q ^= t
-        r = (r & low) ^ (t << ab)
-        f = r | (q << hb)
-        if tally is not None:
-            tally.words += 8 * ((total >> 6) + 1)
-    return f
+    t = (f >> hb) & low
+    q = t
+    r = (f & low) ^ (t << ab)
+    t = (r >> hb) & low
+    return ((r & low) ^ (t << ab)) | ((q ^ t) << hb)
 
 
-def _radix_inv(f: int, total: int, m: int, k: int, w: int, tally) -> int:
-    """Undo _radix_fwd: rebuild q * (x^(2H) + x^A) + r level by level."""
-    for mu in range(k + 1, m + 1):
-        seg = (w << mu)
-        hb = seg >> 1
-        ab = w << (mu - 1 - k)
-        low = _half_mask(total, seg)
-        q = (f >> hb) & low
-        f = (f & low) ^ (q << ab) ^ (q << hb)
-        if tally is not None:
-            tally.words += 5 * ((total >> 6) + 1)
-    return f
+def _radix_inv(f: int, low: int, hb: int, ab: int) -> int:
+    """Undo _radix_fwd: rebuild q * (x^(2H) + x^A) + r."""
+    q = (f >> hb) & low
+    return (f & low) ^ (q << ab) ^ (q << hb)
 
 
 def to_novel(f: int, n: int, tally: ConvTally | None = None) -> int:
@@ -128,23 +125,16 @@ def _check_packed(f: int, n: int, w: int) -> int:
 
 
 def _convert(f: int, total: int, m: int, w: int, tally, forward: bool) -> int:
-    """Apply the conversion to every 2^m-slot block of the total-bit int f.
-
-    The outer/inner recursions act on disjoint slot ranges, so the order only
-    matters relative to the radix rewrite: forward rewrites first, the
-    inverse unwinds it last.
-    """
-    if m <= 1:
-        return f
-    k = 1 << ((m - 1).bit_length() - 1)
-    if forward:
-        f = _radix_fwd(f, total, m, k, w, tally)
-        f = _convert(f, total, m - k, w << k, tally, True)
-        f = _convert(f, total, k, w, tally, True)
-        return f
-    f = _convert(f, total, k, w, tally, False)
-    f = _convert(f, total, m - k, w << k, tally, False)
-    return _radix_inv(f, total, m, k, w, tally)
+    """Apply the conversion to every 2^m-slot block of the total-bit int f:
+    the levels in order, or their inverses in reverse order."""
+    for mu, k, s in _levels(m) if forward else reversed(_levels(m)):
+        hb = w << s << (mu - 1)
+        ab = w << s << (mu - 1 - k)
+        low = _half_mask(total, 2 * hb)
+        f = _radix_fwd(f, low, hb, ab) if forward else _radix_inv(f, low, hb, ab)
+        if tally is not None:
+            tally.words += (8 if forward else 5) * ((total >> 6) + 1)
+    return f
 
 
 def to_novel_by_division(f: int, n: int) -> int:

@@ -4,7 +4,9 @@ The multiplication pipeline is GF(2)-linear everywhere except the lane
 products, so a circuit falls out of running the pipeline symbolically: basis
 conversion and butterfly stages become XOR networks, and each cross-section
 lane gets one tower Karatsuba multiplier (all of the circuit's AND gates,
-3^lg(w) for a width-w lane).
+3^lg(w) for a width-w lane).  The conversion walks the radix levels of
+basis._levels and the butterflies walk transform.schedule depth by depth,
+the same lists the numeric pipeline runs.
 
 Wires are ints: 0 is the constant zero, 1..n the bits of operand a,
 n+1..2n the bits of b, then one ref per emitted gate.  The builder folds
@@ -26,8 +28,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .field import CantorField, binru
-from .transform import FaftEngine
+from .basis import _levels
+from .field import CantorField
+from .transform import FaftEngine, schedule
 
 __all__ = [
     "Circuit",
@@ -104,7 +107,8 @@ class _Builder:
         return self._emit("AND", x, y)
 
     def xor_vec(self, a: list[int], b: list[int]) -> list[int]:
-        assert len(a) == len(b)
+        if len(a) != len(b):
+            raise RuntimeError(f"xor of {len(a)}- and {len(b)}-bit vectors")
         return [self.xor(x, y) for x, y in zip(a, b)]
 
 
@@ -215,139 +219,75 @@ class _MatrixCache:
 # ----- symbolic pipeline stages ------------------------------------------
 
 
-def _convert_sym(bld: _Builder, slots: list[int], m: int, wu: int, forward: bool) -> list[int]:
-    """Basis conversion on wire refs; mirrors the packed-int version with
-    units of wu refs."""
-    if m <= 1:
-        return slots
-    k = 1 << ((m - 1).bit_length() - 1)
-    if forward:
-        slots = _radix_sym(bld, slots, m, k, wu, True)
-        slots = _convert_sym(bld, slots, m - k, wu << k, True)
-        return _convert_sym(bld, slots, k, wu, True)
-    slots = _convert_sym(bld, slots, k, wu, False)
-    slots = _convert_sym(bld, slots, m - k, wu << k, False)
-    return _radix_sym(bld, slots, m, k, wu, False)
-
-
-def _radix_sym(bld: _Builder, slots: list[int], m: int, k: int, wu: int, forward: bool) -> list[int]:
+def _radix_sym(
+    bld: _Builder, slots: list[int], mu: int, k: int, wu: int, forward: bool
+) -> list[int]:
+    """One radix level of the basis conversion (basis._radix_fwd or
+    _radix_inv) on wire refs, with H and A counted in refs (units of wu)."""
     out = list(slots)
-    total_u = len(slots) // wu
-    levels = range(m, k, -1) if forward else range(k + 1, m + 1)
-    for mu in levels:
-        seg_u = 1 << mu
-        hu = seg_u >> 1
-        au = 1 << (mu - 1 - k)
-        for s in range(0, total_u, seg_u):
-
-            def unit(u):
-                base = (s + u) * wu
-                return out[base : base + wu]
-
-            def setu(u, refs):
-                base = (s + u) * wu
-                out[base : base + wu] = refs
-
-            if forward:
-                # divide lo + x^H hi by y^A = x^H + x^A, layout [r | q]
-                hi = [unit(hu + v) for v in range(hu)]
-                r = [unit(v) for v in range(hu)]
-                for v in range(au, hu):
-                    r[v] = bld.xor_vec(r[v], hi[v - au])
-                t2 = hi[hu - au :]  # spill of hi << A beyond the half mark
-                q = list(hi)
-                for v in range(au):
-                    q[v] = bld.xor_vec(q[v], t2[v])
-                    r[au + v] = bld.xor_vec(r[au + v], t2[v])
-                for v in range(hu):
-                    setu(v, r[v])
-                    setu(hu + v, q[v])
-            else:
-                r = [unit(v) for v in range(hu)]
-                q = [unit(hu + v) for v in range(hu)]
-                for v in range(au, hu):
-                    r[v] = bld.xor_vec(r[v], q[v - au])
-                hi = list(q)
-                for v in range(au):
-                    hi[v] = bld.xor_vec(hi[v], q[hu - au + v])
-                for v in range(hu):
-                    setu(v, r[v])
-                    setu(hu + v, hi[v])
+    h = wu << (mu - 1)
+    a = wu << (mu - 1 - k)
+    xor = bld.xor_vec
+    for s in range(0, len(out), 2 * h):
+        lo, hi = out[s : s + h], out[s + h : s + 2 * h]
+        r = lo[:a] + xor(lo[a:], hi[: h - a])
+        if forward:
+            # divide lo + x^H hi by y^A = x^H + x^A, layout [r | q]: the
+            # spill of hi << A beyond the half mark folds in once more
+            spill = hi[h - a :]
+            r[a : 2 * a] = xor(r[a : 2 * a], spill)
+            hi = xor(hi[:a], spill) + hi[a:]
+        else:
+            hi = xor(hi[:a], hi[h - a :]) + hi[a:]
+        out[s : s + 2 * h] = r + hi
     return out
-
-
-def _truncated(l: int) -> bool:
-    return l > 0 and (l & (l - 1)) == 0
 
 
 def _trace_forward(bld, mats, eng, m, coeffs: list[int]) -> list[list[int]]:
-    """Forward pruned transform on wires; returns lane ref-vectors in leaf
-    order."""
-    out: list[list[int]] = []
+    """Forward pruned transform on wires, one depth of schedule(m) at a
+    time; returns lane ref-vectors in leaf order."""
     field = eng.field
-
-    def rec(k, vals, l, alpha):
-        if k == 0:
-            out.append(vals[0])
-            return
-        h = 1 << (k - 1)
-        tw = eng.twiddles.twiddle(k - 1, alpha)
-        w_in = binru(l)
-        wc = binru(l + 1) if l else 1
-        p0 = vals[:h]
-        p1 = vals[h:]
-        q0 = []
-        for j in range(h):
-            y = mats.mul_const(tw, p1[j], w_in, wc, field)
-            q0.append(bld.xor_vec(_pad(p0[j], wc), y))
-        if _truncated(l):
-            rec(k - 1, q0, l + 1, alpha)
-            return
-        q1 = [bld.xor_vec(q0[j], _pad(p1[j], wc)) for j in range(h)]
-        rec(k - 1, q0, 0 if l == 0 else l + 1, alpha)
-        rec(k - 1, q1, 1 if l == 0 else l + 1, alpha ^ h)
-
-    rec(m, [[c] for c in coeffs], 0, 0)
-    return out
+    sched = schedule(m)
+    segs = [[[c] for c in coeffs]]  # segment -> value -> coordinate refs
+    for depth, d in enumerate(sched[:-1]):
+        h = 1 << (m - depth - 1)
+        child_width = sched[depth + 1].width.tolist()
+        nxt = []
+        for vals, (alpha, _, w, trunc) in zip(segs, d.segments()):
+            tw = eng.twiddles.twiddle(m - depth - 1, alpha)
+            wc = child_width[len(nxt)]  # both children share a width
+            p0, p1 = vals[:h], vals[h:]
+            q0 = [
+                bld.xor_vec(_pad(a, wc), mats.mul_const(tw, b, w, wc, field))
+                for a, b in zip(p0, p1)
+            ]
+            nxt.append(q0)
+            if not trunc:
+                nxt.append([bld.xor_vec(a, _pad(b, wc)) for a, b in zip(q0, p1)])
+        segs = nxt
+    return [vals[0] for vals in segs]
 
 
 def _trace_inverse(bld, mats, eng, m, lanes: list[list[int]]) -> list[int]:
-    """Inverse pruned transform on wires; returns 2^m single-bit coeff refs."""
+    """Inverse pruned transform on wires, from the leaves of schedule(m) up;
+    returns 2^m single-bit coeff refs."""
     field = eng.field
-    pos = 0
-
-    def rec(k, l, alpha):
-        nonlocal pos
-        if k == 0:
-            v = lanes[pos]
-            pos += 1
-            return [v]
-        h = 1 << (k - 1)
-        tw = eng.twiddles.twiddle(k - 1, alpha)
-        w = binru(l)
-        if _truncated(l):
-            q = rec(k - 1, l + 1, alpha)
-            c = tw ^ (1 << l)
-            p0 = []
-            p1 = []
-            for qv in q:
-                r0 = qv[:l]
-                r1 = qv[l:]
-                p0.append(bld.xor_vec(r0, mats.mul_const(c, r1, l, l, field)))
-                p1.append(r1)
-            return p0 + p1
-        q0 = rec(k - 1, 0 if l == 0 else l + 1, alpha)
-        q1 = rec(k - 1, 1 if l == 0 else l + 1, alpha ^ h)
-        p1 = [bld.xor_vec(a, b) for a, b in zip(q0, q1)]
-        p0 = [
-            bld.xor_vec(q0[j], mats.mul_const(tw, p1[j], w, w, field))
-            for j in range(h)
-        ]
-        return p0 + p1
-
-    vals = rec(m, 0, 0)
-    assert pos == len(lanes)
-    return [v[0] for v in vals]
+    segs = [[v] for v in lanes]
+    for depth in range(m - 1, -1, -1):
+        children = iter(segs)
+        segs = []
+        for alpha, l, w, trunc in schedule(m)[depth].segments():
+            tw = eng.twiddles.twiddle(m - depth - 1, alpha)
+            q0 = next(children)
+            if trunc:  # p1 = q0 >> l, p0 = (q0 mod 2^l) + (tw + v_l) * p1
+                c = tw ^ (1 << l)
+                p1 = [q[l:] for q in q0]
+                p0 = [bld.xor_vec(q[:l], mats.mul_const(c, b, l, l, field)) for q, b in zip(q0, p1)]
+            else:
+                p1 = [bld.xor_vec(a, b) for a, b in zip(q0, next(children))]
+                p0 = [bld.xor_vec(a, mats.mul_const(tw, b, w, w, field)) for a, b in zip(q0, p1)]
+            segs.append(p0 + p1)
+    return [v[0] for v in segs[0]]
 
 
 def _lane_mul_sym(bld, mats, field, a: list[int], b: list[int], w: int) -> list[int]:
@@ -413,20 +353,24 @@ def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
     bld = _Builder(n)
     mats = _MatrixCache(bld, cse)
 
+    levels = _levels(m)
+
     def transform_side(base: int) -> list[list[int]]:
         refs = [base + i for i in range(n)] + [ZERO] * (N - n)
-        novel = _convert_sym(bld, refs, m, 1, True)
-        return _trace_forward(bld, mats, eng, m, novel)
+        for mu, k, s in levels:
+            refs = _radix_sym(bld, refs, mu, k, 1 << s, True)
+        return _trace_forward(bld, mats, eng, m, refs)
 
     la = transform_side(1)
     lb = transform_side(n + 1)
-    widths = [p.orbit for p in eng.cross_section(m)]
+    widths = schedule(m)[-1].width.tolist()
     lanes = [
         _lane_mul_sym(bld, mats, eng.field, _pad(a, w), _pad(b, w), w)
         for a, b, w in zip(la, lb, widths)
     ]
-    coeffs = _trace_inverse(bld, mats, eng, m, lanes)
-    poly = _convert_sym(bld, coeffs, m, 1, False)
+    poly = _trace_inverse(bld, mats, eng, m, lanes)
+    for mu, k, s in reversed(levels):
+        poly = _radix_sym(bld, poly, mu, k, 1 << s, False)
     outputs = poly[:need]
     gates, outputs = _dead_code_sweep(n, bld.gates, outputs)
     return Circuit(n, gates, outputs)
@@ -436,23 +380,35 @@ def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
 
 
 def parse_slp(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if not head or head[0] != "SLP":
+    """Circuit from its SLP text.  Every line may read only wires defined
+    above it; anything malformed raises ValueError."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].split()[0] != "SLP":
         raise ValueError("missing SLP header")
-    fields = dict(kv.split("=", 1) for kv in head[1:])
+    fields = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
+    missing = {"n", "and", "xor"} - fields.keys()
+    if missing:
+        raise ValueError(f"header lacks {', '.join(sorted(missing))}")
     n = int(fields["n"])
+    if not 1 <= 2 * n <= len(lines):  # one line per output bit follows the header
+        raise ValueError(f"operand bit count n={n} outside 1..{len(lines) // 2}")
+
+    def index(tok: str, bound: int) -> int:
+        idx = int(tok[1:])
+        if not 0 <= idx < bound:
+            raise ValueError(f"{tok!r} outside 0..{bound - 1}")
+        return idx
 
     def ref(tok: str) -> int:
         if tok == "ZERO":
             return ZERO
-        kind, idx = tok[0], int(tok[1:])
+        kind = tok[0]
         if kind == "a":
-            return 1 + idx
+            return 1 + index(tok, n)
         if kind == "b":
-            return n + 1 + idx
+            return n + 1 + index(tok, n)
         if kind == "t":
-            return 2 * n + 1 + idx
+            return 2 * n + 1 + index(tok, len(gates))
         raise ValueError(f"bad wire token {tok!r}")
 
     gates: list[tuple[str, int, int]] = []
@@ -467,12 +423,12 @@ def parse_slp(text: str) -> Circuit:
             op, x, y = parts
             if op not in ("AND", "XOR"):
                 raise ValueError(f"bad op {op!r}")
-            xr, yr = ref(x), ref(y)
-            if max(xr, yr) > 2 * n + len(gates):
-                raise ValueError(f"gate {lhs} reads a later wire")
-            gates.append((op, xr, yr))
-        elif lhs.startswith("c"):
-            outputs[int(lhs[1:])] = ref(parts[0])
+            gates.append((op, ref(x), ref(y)))
+        elif lhs.startswith("c") and len(parts) == 1:
+            i = index(lhs, len(outputs))
+            if outputs[i] is not None:
+                raise ValueError(f"output {lhs} bound twice")
+            outputs[i] = ref(parts[0])
         else:
             raise ValueError(f"bad line {ln!r}")
     if any(o is None for o in outputs):

@@ -39,7 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "additive FFT, inspect its evaluations, and emit AND/XOR circuits.",
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed for bench/verify/selftest")
-    p.add_argument("--k", type=int, default=6, help="field tower height (d = 2^k coordinates)")
+    p.add_argument(
+        "--k", type=int, choices=range(1, 7), default=6, help="field tower height, GF(2^(2^k))"
+    )
     sub = p.add_subparsers(dest="cmd", required=True)
 
     q = sub.add_parser("mul", help="multiply two polynomials")
@@ -77,7 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mul(args) -> int:
-    print(format(mul(args.a, args.b, args.method), "x"))
+    if args.method == "fafft":
+        try:
+            c = mul_fafft(args.a, args.b, args.k)
+        except ValueError as e:  # the product needs more points than the field has
+            print(e, file=sys.stderr)
+            return 2
+    else:
+        c = mul(args.a, args.b, args.method)
+    print(format(c, "x"))
     return 0
 
 
@@ -105,6 +115,9 @@ def _cmd_faft(args) -> int:
 def _cmd_bench(args) -> int:
     if args.min_log > args.max_log or args.min_log < 4:
         print("need 4 <= min-log <= max-log", file=sys.stderr)
+        return 2
+    if args.max_log > 1 << args.k:
+        print(f"max-log must be at most 2^k = {1 << args.k}", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
     methods = (
@@ -186,12 +199,13 @@ def _cmd_selftest(args) -> int:
     ok &= check("basis-roundtrip", from_novel(to_novel(g, 1024), 1024) == g)
     h = rng.getrandbits(64)
     ok &= check("basis-oracle", to_novel(h, 64) == to_novel_by_division(h, 64))
-    p = rng.getrandbits(64)
-    res = eng.faft(p, 6)
-    full = eng.expand_to_full_aft(6, res.values)
-    coeffs = [(to_novel(p, 64) >> i) & 1 for i in range(64)]
-    ok &= check("transform-expand", full == eng.afft(6, coeffs))
-    ok &= check("transform-inverse", eng.ifaft(res.values, 6) == p)
+    m = min(6, f.d)  # 2^m points must fit in the field
+    p = rng.getrandbits(1 << m)
+    res = eng.faft(p, m)
+    full = eng.expand_to_full_aft(m, res.values)
+    coeffs = [(to_novel(p, 1 << m) >> i) & 1 for i in range(1 << m)]
+    ok &= check("transform-expand", full == eng.afft(m, coeffs))
+    ok &= check("transform-inverse", eng.ifaft(res.values, m) == p)
     a = rng.getrandbits(2000)
     b = rng.getrandbits(1500)
     ok &= check("mul-agreement", mul_fafft(a, b) == mul_schoolbook(a, b))

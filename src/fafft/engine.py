@@ -1,11 +1,12 @@
 """Batched depth-by-depth execution of the pruned transform.
 
-transform.py walks the recursion node by node and is the correctness
-reference.  This module replays exactly the same butterfly schedule, but one
-tree depth at a time: every surviving segment at depth j has the same length
-2^(m-j), so one reshape turns the flat state vector into a
-(segments, 2, half) array and each depth is a handful of whole-array
-operations.
+transform.schedule(m) lists the segments of the pruned tree depth by depth,
+and transform.FaftEngine's recursion is the correctness reference.  This
+module runs that schedule one depth at a time: every surviving segment at
+depth j has the same length 2^(m-j), so one reshape turns the flat state
+vector into a (segments, 2, half) array and each depth is a handful of
+whole-array operations.  A plan adds only what the field fixes: twiddles,
+shifts, masks and dtypes.
 
 The forward step writes q0 = p0 + tw * p1 and q1 = q0 + p1 straight into a
 fresh (segments, 2, half) buffer.  Read row by row, that buffer is the next
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import _mul_vec, binru
-from .transform import FaftEngine, n_cross_section
+from .transform import FaftEngine, schedule
 
 __all__ = ["LayeredEngine"]
 
@@ -106,33 +107,30 @@ class LayeredEngine:
         return self._plans[m]
 
     def _build_plan(self, m: int) -> _Plan:
-        if not 0 <= m <= self.eng.field.d:
-            raise ValueError(f"m={m} outside 0..{self.eng.field.d}")
+        self.eng._check_m(m)
         rows_np = self.eng.twiddles.rows_np()
-        alphas = np.zeros(1, dtype=_U)
-        ls = np.zeros(1, dtype=np.int64)
+        sched = schedule(m)
         layers: list[_Layer] = []
-        for depth in range(m):
+        for depth, seg in enumerate(sched[:-1]):
             k = m - depth
-            count = len(alphas)
             row = rows_np[k - 1]
-            tws = np.zeros(count, dtype=_U)
+            tws = np.zeros(len(seg.alpha), dtype=_U)
             for b in range(k, m):  # alphas have no coordinates below k
-                tws ^= row[b] * ((alphas >> _U(b)) & _U(1))
-            trunc = (ls > 0) & ((ls & (ls - 1)) == 0)
-            keep = np.ones(2 * count, dtype=bool)
-            keep[1::2] = ~trunc
-            lu = ls.astype(_U)
+                tws ^= row[b] * ((seg.alpha >> _U(b)) & _U(1))
+            trunc = seg.trunc
+            lu = seg.l.astype(_U)
             c = np.where(trunc, tws ^ (_U(1) << lu), tws)
-            lmax = int(ls.max())
-            width = binru(lmax)
-            child = _dtype(binru(lmax + 1))
+            width = int(seg.width.max())
+            child = _dtype(int(sched[depth + 1].width.max()))
             ones = np.iinfo(child).max
+            rows = None
+            if trunc.any():  # truncated segment i drops its q1, child row 2i + 1
+                rows = np.flatnonzero(np.column_stack((np.ones_like(trunc), ~trunc)))
             layers.append(
                 _Layer(
                     length=1 << k,
-                    count=count,
-                    rows=np.flatnonzero(keep) if trunc.any() else None,
+                    count=len(tws),
+                    rows=rows,
                     width=width,
                     dtype=_dtype(width),
                     child_dtype=child,
@@ -140,28 +138,11 @@ class LayeredEngine:
                     tw_width=_product_width(tws, width),
                     c=_narrow(c),
                     c_width=_product_width(c, width),
-                    shift=np.where(trunc, ls, 0).astype(np.uint8)[:, None],
+                    shift=np.where(trunc, seg.l, 0).astype(np.uint8)[:, None],
                     mask=np.where(trunc, (_U(1) << lu) - _U(1), ones).astype(child)[:, None],
                 )
             )
-            l0 = np.where(ls == 0, 0, ls + 1)
-            l1 = np.where(ls == 0, 1, ls + 1)
-            a1 = alphas ^ _U(1 << (k - 1))
-            next_ls = np.empty(2 * count, dtype=np.int64)
-            next_ls[0::2] = l0
-            next_ls[1::2] = l1
-            next_alphas = np.empty(2 * count, dtype=_U)
-            next_alphas[0::2] = alphas
-            next_alphas[1::2] = a1
-            alphas = next_alphas[keep]
-            ls = next_ls[keep]
-        if len(alphas) != n_cross_section(m):
-            raise RuntimeError(
-                f"plan for m={m} has {len(alphas)} leaves, expected {n_cross_section(m)}"
-            )
-        widths = np.ones(len(ls), dtype=np.int64)
-        for t in range(1, 7):
-            widths[ls > (1 << (t - 1))] = 1 << t
+        widths = sched[-1].width
         leaf_max = ~_U(0) >> (64 - widths).astype(_U)
         return _Plan(m, layers, widths, leaf_max, int(widths.max()))
 

@@ -255,9 +255,11 @@ class CantorField:
 
     def join_by_u(self, r0: int, r1: int, j: int) -> int:
         """Inverse of split_by_u: r0 + u_j * r1 for u_j-free halves."""
-        p = 1 << j
-        assert (r0 | r1) & ~_M0[j] & self.mask == 0
-        return r0 | (r1 << p)
+        if not 0 <= j < self.K:
+            raise ValueError(f"split level {j} outside 0..{self.K - 1}")
+        if (r0 | r1) & ~_M0[j] & self.mask:
+            raise ValueError(f"halves {r0:#x}, {r1:#x} hold u_{j} coordinates")
+        return r0 | (r1 << (1 << j))
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse, a^(2^d - 2)."""

@@ -22,12 +22,21 @@ The truncated step stays invertible because its twiddle satisfies
 tw = c + v_l with c in GF(2^l): the skipped half of the state is the shifted
 top of the surviving half, so the inverse recovers P1 = q >> l and
 P0 = (q mod 2^l) + c * P1 coefficient by coefficient.
+
+schedule(m) writes the pruned tree out once, depth by depth, and every
+consumer reads it: count_ops, n_cross_section, FaftEngine.cross_section,
+the numpy engine and the circuit generator.  FaftEngine's recursion keeps
+its own copy of the state rule and serves as the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .basis import from_novel, to_novel
 from .field import CantorField, binru
@@ -35,11 +44,13 @@ from .subspace import TwiddleTable
 
 __all__ = [
     "CrossSectionPoint",
+    "Depth",
     "OpCounters",
     "FaftResult",
     "FaftEngine",
     "count_ops",
     "n_cross_section",
+    "schedule",
 ]
 
 
@@ -84,39 +95,94 @@ class FaftResult:
 
 
 def _truncated(l: int) -> bool:
+    """Whether state l keeps only its first half: l is a power of two."""
     return l > 0 and (l & (l - 1)) == 0
 
 
+class Depth(NamedTuple):
+    """The segments at one depth of the pruned tree, in depth-first order."""
+
+    alpha: np.ndarray  # uint64: the segment evaluates over alpha + W_k
+    l: np.ndarray  # int64: recursion state
+    width: np.ndarray  # int64: binru(l), the bits of a value at that state
+    trunc: np.ndarray  # bool: the segment keeps only its first half
+
+    def segments(self) -> list[tuple[int, int, int, bool]]:
+        """(alpha, l, width, trunc) per segment, as Python scalars."""
+        return list(zip(*(c.tolist() for c in self)))
+
+
 @lru_cache(maxsize=None)
-def _count(k: int, l: int) -> tuple[int, int, int, int, int]:
-    """(mults, adds, weighted_mults, weighted_adds, leaves) for state (k, l)."""
-    if k == 0:
-        return (0, 0, 0, 0, 1)
-    h = 1 << (k - 1)
-    w = binru(l)
-    if _truncated(l):
-        m_, a, wm, wa, lv = _count(k - 1, l + 1)
-        return (m_ + h, a + h, wm + h * w, wa + h * w, lv)
-    s0 = _count(k - 1, 0 if l == 0 else l + 1)
-    s1 = _count(k - 1, 1 if l == 0 else l + 1)
-    return (
-        s0[0] + s1[0] + h,
-        s0[1] + s1[1] + 2 * h,
-        s0[2] + s1[2] + h * w,
-        s0[3] + s1[3] + 2 * h * w,
-        s0[4] + s1[4],
-    )
+def schedule(m: int) -> tuple[Depth, ...]:
+    """The pruned tree at size 2^m: depth j holds the segments of length
+    2^(m-j), and the last of the m + 1 depths holds the leaves, whose points
+    form the cross-section.
+
+    Field-independent: twiddles s_{m-j-1}(alpha) are left to the consumer.
+    The arrays are shared by every caller and read-only.
+    """
+    if m < 0:
+        raise ValueError(f"transform size exponent {m} is negative")
+    # per-state tables, indexed by l <= depth
+    widths = np.array([binru(x) for x in range(m + 1)])
+    truncs = np.array([_truncated(x) for x in range(m + 1)])
+
+    def depth(alpha, l):
+        d = Depth(alpha, l, widths[l], truncs[l])
+        for a in d:
+            a.setflags(write=False)
+        return d
+
+    depths = [depth(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64))]
+    for k in range(m, 0, -1):
+        d = depths[-1]
+        # children: 0 and 1 below the spine, l + 1 elsewhere; the second
+        # child (coset alpha + v_{k-1}) survives unless the segment truncates
+        l = np.repeat(d.l + 1, 2)
+        l[0::2] *= d.l > 0
+        alpha = np.repeat(d.alpha, 2)
+        alpha[1::2] ^= np.uint64(1 << (k - 1))
+        if d.trunc.any():
+            keep = np.ones(len(l), dtype=bool)
+            keep[1::2] = ~d.trunc
+            alpha, l = alpha[keep], l[keep]
+        depths.append(depth(alpha, l))
+    return tuple(depths)
 
 
 def count_ops(m: int) -> OpCounters:
-    """Operation counts of the pruned transform at size 2^m, by structure."""
-    mu, a, wm, wa, _ = _count(m, 0)
-    return OpCounters(mu, a, wm, wa)
+    """Operation counts of the pruned transform at size 2^m, by structure.
+
+    A segment of length 2h costs what _charge charges the recursion: h
+    multiplies and h adds per output half (one half when it truncates),
+    each weighted by its width.
+    """
+    c = OpCounters()
+    for j, d in enumerate(schedule(m)[:-1]):
+        h = 1 << (m - j - 1)
+        halves = 2 - d.trunc.astype(np.int64)
+        w = d.width
+        c.add(OpCounters(h * len(w), h * int(halves.sum()), h * int(w.sum()), h * int(halves @ w)))
+    return c
 
 
 def n_cross_section(m: int) -> int:
     """Number of surviving leaves (cross-section points) at size 2^m."""
-    return _count(m, 0)[4]
+    return len(schedule(m)[-1].l)
+
+
+def _charge(counters: OpCounters | None, h: int, l: int, halves: int) -> None:
+    """Count one butterfly at state l: h multiplies and h adds per output
+    half it computes, each weighted by binru(l)."""
+    if counters is not None:
+        w = binru(l)
+        counters.add(OpCounters(h, halves * h, h * w, halves * h * w))
+
+
+def _check_unit_top(tw: int, l: int) -> None:
+    """A truncated step at state l needs tw = c + v_l with c in GF(2^l)."""
+    if tw >> l != 1:
+        raise RuntimeError(f"twiddle {tw:#x} at state {l} is not v_{l} + (lower bits)")
 
 
 class FaftEngine:
@@ -179,13 +245,16 @@ class FaftEngine:
         self, m: int, leaves: list[int], counters: OpCounters | None = None
     ) -> list[int]:
         """Inverse of fafft_leaves."""
+        self._check_m(m)
         want = n_cross_section(m)
         if len(leaves) != want:
             raise ValueError(f"expected {want} leaf values for m={m}, got {len(leaves)}")
         p, pos = self._ifafft(m, leaves, 0, 0, 0, counters)
-        assert pos == len(leaves)
+        if pos != len(leaves):
+            raise RuntimeError(f"inverse read {pos} of {len(leaves)} leaves")
         return p
 
+    # Keeps its own copy of the state rule, apart from schedule(), as the tests' oracle.
     def _fafft(self, k, p, l, alpha, out, counters):
         if k == 0:
             out.append(p[0])
@@ -195,22 +264,12 @@ class FaftEngine:
         mul = self.field.mul
         q0 = [p[j] ^ mul(tw, p[h + j]) for j in range(h)]
         if _truncated(l):
-            assert tw >> l == 1
-            if counters is not None:
-                w = binru(l)
-                counters.mults += h
-                counters.adds += h
-                counters.weighted_mults += h * w
-                counters.weighted_adds += h * w
+            _check_unit_top(tw, l)
+            _charge(counters, h, l, 1)
             self._fafft(k - 1, q0, l + 1, alpha, out, counters)
             return
         q1 = [q0[j] ^ p[h + j] for j in range(h)]
-        if counters is not None:
-            w = binru(l)
-            counters.mults += h
-            counters.adds += 2 * h
-            counters.weighted_mults += h * w
-            counters.weighted_adds += 2 * h * w
+        _charge(counters, h, l, 2)
         self._fafft(k - 1, q0, 0 if l == 0 else l + 1, alpha, out, counters)
         self._fafft(k - 1, q1, 1 if l == 0 else l + 1, alpha ^ h, out, counters)
 
@@ -222,7 +281,7 @@ class FaftEngine:
         mul = self.field.mul
         if _truncated(l):
             q, pos = self._ifafft(k - 1, a, pos, l + 1, alpha, counters)
-            assert tw >> l == 1
+            _check_unit_top(tw, l)
             c = tw ^ (1 << l)
             lmask = (1 << l) - 1
             p0 = []
@@ -232,23 +291,13 @@ class FaftEngine:
                 r0 = qj & lmask
                 p0.append(r0 ^ mul(c, r1))
                 p1.append(r1)
-            if counters is not None:
-                w = binru(l)
-                counters.mults += h
-                counters.adds += h
-                counters.weighted_mults += h * w
-                counters.weighted_adds += h * w
+            _charge(counters, h, l, 1)
             return p0 + p1, pos
         q0, pos = self._ifafft(k - 1, a, pos, 0 if l == 0 else l + 1, alpha, counters)
         q1, pos = self._ifafft(k - 1, a, pos, 1 if l == 0 else l + 1, alpha ^ h, counters)
         p1 = [q0[j] ^ q1[j] for j in range(h)]
         p0 = [q0[j] ^ mul(tw, p1[j]) for j in range(h)]
-        if counters is not None:
-            w = binru(l)
-            counters.mults += h
-            counters.adds += 2 * h
-            counters.weighted_mults += h * w
-            counters.weighted_adds += 2 * h * w
+        _charge(counters, h, l, 2)
         return p0 + p1, pos
 
     # ----- cross-sections and orbit expansion ---------------------------
@@ -256,22 +305,9 @@ class FaftEngine:
     def cross_section(self, m: int) -> tuple[CrossSectionPoint, ...]:
         """Evaluation points of the surviving leaves, in leaf order."""
         if m not in self._cs:
-            if not 0 <= m <= self.field.d:
-                raise ValueError(f"m={m} outside 0..{self.field.d}")
-            out: list[CrossSectionPoint] = []
-
-            def rec(k, l, alpha):
-                if k == 0:
-                    out.append(CrossSectionPoint(alpha, l, binru(l)))
-                    return
-                if _truncated(l):
-                    rec(k - 1, l + 1, alpha)
-                    return
-                rec(k - 1, 0 if l == 0 else l + 1, alpha)
-                rec(k - 1, 1 if l == 0 else l + 1, alpha ^ (1 << (k - 1)))
-
-            rec(m, 0, 0)
-            self._cs[m] = tuple(out)
+            self._check_m(m)
+            leaves = schedule(m)[-1]
+            self._cs[m] = tuple(CrossSectionPoint(a, l, w) for a, l, w, _ in leaves.segments())
         return self._cs[m]
 
     def expand_to_full_aft(self, m: int, values: list[int]) -> list[int]:
@@ -317,8 +353,12 @@ class FaftEngine:
             g |= c << i
         return from_novel(g, 1 << m)
 
+    def _check_m(self, m: int) -> None:
+        """ValueError unless 2^m points fit in the field."""
+        if not 0 <= m <= self.field.d:
+            raise ValueError(f"transform size exponent {m} outside 0..{self.field.d}")
+
     def _check_size(self, k: int, seq) -> None:
-        if not 0 <= k <= self.field.d:
-            raise ValueError(f"transform size exponent {k} outside 0..{self.field.d}")
+        self._check_m(k)
         if len(seq) != 1 << k:
             raise ValueError(f"expected 2^{k} = {1 << k} entries, got {len(seq)}")

@@ -110,6 +110,24 @@ def test_cse_never_hurts():
         assert verify_slp(without, trials=500).ok
 
 
+# Exact (AND, XOR) totals with and without CSE, so that a change to the
+# generator cannot move them unnoticed.
+_PINNED_GATES = {
+    4: ((10, 46), (10, 46)),
+    16: ((86, 602), (86, 616)),
+    33: ((410, 3825), (410, 4071)),
+    128: ((842, 10972), (842, 11863)),
+    256: ((2138, 27495), (2138, 29936)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_GATES))
+def test_pinned_gate_counts(n):
+    for cse, want in zip((True, False), _PINNED_GATES[n]):
+        c = gen_mul_circuit(n, cse=cse)
+        assert (c.and_count, c.xor_count) == want
+
+
 def test_slp_roundtrip():
     c = gen_mul_circuit(12)
     text = c.to_slp()
@@ -136,6 +154,27 @@ def test_parse_rejects_malformed():
     lines[1] = lines[1].replace("= AND", "= NAND").replace("= XOR", "= NOR")
     with pytest.raises(ValueError):
         parse_slp("\n".join(lines))
+    n_gates = sum(ln.startswith("t") for ln in good.splitlines())
+
+    def rebind_c0(wire):
+        return good.replace(good[good.index("c0 = ") :].split("\n", 1)[0], f"c0 = {wire}")
+
+    for text in (
+        "",
+        good.replace("n=2 ", "", 1),  # header without n=
+        "SLP n=0 and=0 xor=0\n",
+        "SLP n=1000000 and=0 xor=0\nc0 = ZERO\n",  # too few lines to bind 2n - 1 outputs
+        good + "c3 = ZERO\n",  # outputs are c0..c2 for n = 2
+        good + "c-1 = ZERO\n",
+        rebind_c0("a7"),
+        rebind_c0("b2"),
+        rebind_c0(f"t{n_gates}"),  # past the last gate
+        good + "c0 = ZERO\n",  # bound twice
+        "SLP n=1 and=0 xor=0\nc0 =\n",
+    ):
+        with pytest.raises(ValueError):
+            parse_slp(text)
+    assert parse_slp(rebind_c0("a1")).outputs[0] == 2
 
 
 def test_verify_catches_mutation():

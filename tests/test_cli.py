@@ -28,6 +28,18 @@ def test_mul_methods_agree(capsys):
     assert len(outs) == 1
 
 
+def test_k_limits_fafft_sizes(capsys):
+    # K = 1: GF(4) has 4 points, enough for a product of up to 4 bits
+    code, out = run(capsys, "--k", "1", "mul", "--a", "3", "--b", "3")
+    assert (code, out.strip()) == (0, "5")
+    code, out = run(capsys, "--k", "1", "mul", "--a", "f", "--b", "f")
+    assert (code, out) == (2, "")
+    code, out = run(capsys, "--k", "1", "mul", "--a", "f", "--b", "f", "--method", "karatsuba")
+    assert (code, out.strip()) == (0, "55")
+    code, out = run(capsys, "--k", "2", "bench", "--min-log", "4", "--max-log", "5")
+    assert (code, out) == (2, "")
+
+
 def test_mul_zero(capsys):
     code, out = run(capsys, "mul", "--a", "0", "--b", "ff")
     assert code == 0
@@ -144,12 +156,18 @@ def test_verify_circuit_ok_and_fail(capsys, tmp_path):
 def test_verify_circuit_unreadable(capsys, tmp_path):
     code = main(["verify-circuit", "--slp", str(tmp_path / "missing.slp")])
     assert code == 1
+    empty = tmp_path / "empty.slp"
+    empty.write_text("")
+    code = main(["verify-circuit", "--slp", str(empty)])
+    assert code == 1
+    assert "cannot load SLP" in capsys.readouterr().err
 
 
 def test_selftest(capsys):
-    code, out = run(capsys, "selftest")
-    assert code == 0
-    assert "selftest ok" in out
+    for argv in (["selftest"], ["--k", "1", "selftest"]):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert "selftest ok" in out
 
 
 def test_usage_errors():
@@ -162,6 +180,11 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["mul", "--a", "1", "--b", "1", "--method", "fft"])
-    assert e.value.code == 2
+    for argv in (
+        ["mul", "--a", "1", "--b", "1", "--method", "fft"],
+        ["--k", "7", "faft", "--poly", "1", "--m", "2"],
+        ["--k", "0", "selftest"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2

@@ -226,6 +226,15 @@ def test_split_join_roundtrip(field):
             assert r0 ^ field.mul(u, r1) == a
 
 
+def test_join_rejects_u_coordinates(field):
+    # 2 is u_0 itself, so it cannot be a u_0-free half
+    for r0, r1 in ((2, 0), (0, 2), (2, 2)):
+        with pytest.raises(ValueError):
+            field.join_by_u(r0, r1, 0)
+    with pytest.raises(ValueError):
+        field.join_by_u(1, 1, field.K)
+
+
 # ---------------------------------------------------------------------------
 # inverse / pow
 

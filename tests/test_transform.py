@@ -7,7 +7,7 @@ import pytest
 from fafft.basis import to_novel
 from fafft.field import binru
 from fafft.subspace import eval_subspace
-from fafft.transform import FaftEngine, OpCounters, count_ops, n_cross_section
+from fafft.transform import FaftEngine, OpCounters, count_ops, n_cross_section, schedule
 
 
 @pytest.fixture(scope="module")
@@ -159,22 +159,31 @@ def test_expand_matches_full_afft(eng):
         assert expanded == full
 
 
-def test_truncated_twiddles_have_unit_top(eng):
-    # every state with l >= 1 has s_{k-1}(alpha) of the form v_l + (lower bits)
-    def walk(k, l, alpha):
+def test_schedule_matches_recursive_walk(eng):
+    def walk(k, l, alpha, depth, out):
+        out[depth].append((alpha, l))
         if k == 0:
             return
-        tw = eng.twiddles.twiddle(k - 1, alpha)
-        if l >= 1:
-            assert tw >> l == 1
         if l > 0 and l & (l - 1) == 0:
-            walk(k - 1, l + 1, alpha)
+            walk(k - 1, l + 1, alpha, depth + 1, out)
             return
-        walk(k - 1, 0 if l == 0 else l + 1, alpha)
-        walk(k - 1, 1 if l == 0 else l + 1, alpha ^ (1 << (k - 1)))
+        walk(k - 1, 0 if l == 0 else l + 1, alpha, depth + 1, out)
+        walk(k - 1, 1 if l == 0 else l + 1, alpha ^ (1 << (k - 1)), depth + 1, out)
 
-    for m in range(1, 9):
-        walk(m, 0, 0)
+    for m in range(0, 13):
+        want = [[] for _ in range(m + 1)]
+        walk(m, 0, 0, 0, want)
+        sched = schedule(m)
+        assert len(sched) == m + 1
+        for depth, d in enumerate(sched):
+            assert list(zip(d.alpha.tolist(), d.l.tolist())) == want[depth]
+            assert d.width.tolist() == [binru(l) for _, l in want[depth]]
+            assert d.trunc.tolist() == [l > 0 and l & (l - 1) == 0 for _, l in want[depth]]
+            if depth < m:
+                # every state l >= 1 has s_{k-1}(alpha) = v_l + (lower bits)
+                for alpha, l in want[depth]:
+                    if l >= 1:
+                        assert eng.twiddles.twiddle(m - depth - 1, alpha) >> l == 1
 
 
 def test_ifafft_roundtrip(eng):
