@@ -12,10 +12,10 @@ Layering, bottom up:
   twiddle constants they induce.
 - ``basis``: change of basis between monomial and subspace-product
   coefficients, packed over machine words.
-- ``transform``: ``schedule(m)``, the pruned tree written out once per
-  depth, which cross sections, operation counts, ``engine`` and
-  ``circuit`` all read; and the recursive reference transforms that the
-  tests compare against.
+- ``transform``: ``schedule(m)``, the pruned tree and its twiddles written
+  out once per depth for every tower height, which cross sections,
+  operation counts, ``engine`` and ``circuit`` all read; and the recursive
+  reference transforms that the tests compare against.
 - ``engine``: the vectorised evaluator that runs the schedule depth by
   depth for bulk multiplication.
 - ``mul``: carryless multiplication entry points and baselines.

@@ -6,7 +6,7 @@ conversion and butterfly stages become XOR networks, and each cross-section
 lane gets one tower Karatsuba multiplier (all of the circuit's AND gates,
 3^lg(w) for a width-w lane).  The conversion walks the radix levels of
 basis._levels and the butterflies walk transform.schedule depth by depth,
-the same lists the numeric pipeline runs.
+twiddles included: the same lists the numeric pipeline runs.
 
 Wires are ints: 0 is the constant zero, 1..n the bits of operand a,
 n+1..2n the bits of b, then one ref per emitted gate.  The builder folds
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .basis import _levels
 from .field import CantorField
-from .transform import FaftEngine, schedule
+from .transform import schedule
 
 __all__ = [
     "Circuit",
@@ -177,6 +177,7 @@ class _MatrixCache:
     def __init__(self, bld: _Builder, cse: bool):
         self.bld = bld
         self.cse = cse
+        self.field = CantorField(6)
         self._templates: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def apply(self, rows: tuple[int, ...], w_in: int, x: list[int]) -> list[int]:
@@ -204,10 +205,10 @@ class _MatrixCache:
             out_refs.append(r)
         return out_refs
 
-    def mul_const(self, c: int, x: list[int], w_in: int, w_out: int, field: CantorField) -> list[int]:
+    def mul_const(self, c: int, x: list[int], w_in: int, w_out: int) -> list[int]:
         """c * x as a w_out-bit vector, x given by w_in coordinate wires."""
         rows = []
-        cols = [field.mul(c, 1 << j) for j in range(w_in)]
+        cols = [self.field.mul(c, 1 << j) for j in range(w_in)]
         for i in range(w_out):
             mask = 0
             for j in range(w_in):
@@ -243,24 +244,19 @@ def _radix_sym(
     return out
 
 
-def _trace_forward(bld, mats, eng, m, coeffs: list[int]) -> list[list[int]]:
+def _trace_forward(bld, mats, m, coeffs: list[int]) -> list[list[int]]:
     """Forward pruned transform on wires, one depth of schedule(m) at a
     time; returns lane ref-vectors in leaf order."""
-    field = eng.field
     sched = schedule(m)
     segs = [[[c] for c in coeffs]]  # segment -> value -> coordinate refs
     for depth, d in enumerate(sched[:-1]):
         h = 1 << (m - depth - 1)
         child_width = sched[depth + 1].width.tolist()
         nxt = []
-        for vals, (alpha, _, w, trunc) in zip(segs, d.segments()):
-            tw = eng.twiddles.twiddle(m - depth - 1, alpha)
+        for vals, (_, _, w, trunc, tw, _) in zip(segs, d.segments()):
             wc = child_width[len(nxt)]  # both children share a width
             p0, p1 = vals[:h], vals[h:]
-            q0 = [
-                bld.xor_vec(_pad(a, wc), mats.mul_const(tw, b, w, wc, field))
-                for a, b in zip(p0, p1)
-            ]
+            q0 = [bld.xor_vec(_pad(a, wc), mats.mul_const(tw, b, w, wc)) for a, b in zip(p0, p1)]
             nxt.append(q0)
             if not trunc:
                 nxt.append([bld.xor_vec(a, _pad(b, wc)) for a, b in zip(q0, p1)])
@@ -268,42 +264,37 @@ def _trace_forward(bld, mats, eng, m, coeffs: list[int]) -> list[list[int]]:
     return [vals[0] for vals in segs]
 
 
-def _trace_inverse(bld, mats, eng, m, lanes: list[list[int]]) -> list[int]:
+def _trace_inverse(bld, mats, m, lanes: list[list[int]]) -> list[int]:
     """Inverse pruned transform on wires, from the leaves of schedule(m) up;
     returns 2^m single-bit coeff refs."""
-    field = eng.field
     segs = [[v] for v in lanes]
     for depth in range(m - 1, -1, -1):
         children = iter(segs)
         segs = []
-        for alpha, l, w, trunc in schedule(m)[depth].segments():
-            tw = eng.twiddles.twiddle(m - depth - 1, alpha)
+        for _, l, w, trunc, _, c in schedule(m)[depth].segments():
             q0 = next(children)
-            if trunc:  # p1 = q0 >> l, p0 = (q0 mod 2^l) + (tw + v_l) * p1
-                c = tw ^ (1 << l)
+            if trunc:  # p1 = q0 >> l, p0 = (q0 mod 2^l) + c * p1, where w = l
                 p1 = [q[l:] for q in q0]
-                p0 = [bld.xor_vec(q[:l], mats.mul_const(c, b, l, l, field)) for q, b in zip(q0, p1)]
+                q0 = [q[:l] for q in q0]
             else:
                 p1 = [bld.xor_vec(a, b) for a, b in zip(q0, next(children))]
-                p0 = [bld.xor_vec(a, mats.mul_const(tw, b, w, w, field)) for a, b in zip(q0, p1)]
+            p0 = [bld.xor_vec(a, mats.mul_const(c, b, w, w)) for a, b in zip(q0, p1)]
             segs.append(p0 + p1)
     return [v[0] for v in segs[0]]
 
 
-def _lane_mul_sym(bld, mats, field, a: list[int], b: list[int], w: int) -> list[int]:
+def _lane_mul_sym(bld, mats, a: list[int], b: list[int], w: int) -> list[int]:
     """Tower Karatsuba product of two w-wide wire vectors."""
     if w == 1:
         return [bld.and_(a[0], b[0])]
     h = w >> 1
     a0, a1 = a[:h], a[h:]
     b0, b1 = b[:h], b[h:]
-    m0 = _lane_mul_sym(bld, mats, field, a0, b0, h)
-    m1 = _lane_mul_sym(bld, mats, field, a1, b1, h)
-    t = _lane_mul_sym(
-        bld, mats, field, bld.xor_vec(a0, a1), bld.xor_vec(b0, b1), h
-    )
+    m0 = _lane_mul_sym(bld, mats, a0, b0, h)
+    m1 = _lane_mul_sym(bld, mats, a1, b1, h)
+    t = _lane_mul_sym(bld, mats, bld.xor_vec(a0, a1), bld.xor_vec(b0, b1), h)
     zeta = 1 << (h - 1)  # v_{h-1} = zeta_{lg h}
-    zm1 = mats.mul_const(zeta, m1, h, h, field)
+    zm1 = mats.mul_const(zeta, m1, h, h)
     low = bld.xor_vec(m0, zm1)
     high = bld.xor_vec(t, m0)
     return low + high
@@ -336,17 +327,10 @@ def _dead_code_sweep(n: int, gates, outputs):
     return new_gates, new_outputs
 
 
-_gen_engine: FaftEngine | None = None
-
-
 def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
     """Circuit multiplying two n-bit GF(2)[x] polynomials (2n-1 outputs)."""
-    global _gen_engine
     if n < 1:
         raise ValueError("operand bit count must be >= 1")
-    if _gen_engine is None:
-        _gen_engine = FaftEngine(6)
-    eng = _gen_engine
     need = 2 * n - 1
     m = (need - 1).bit_length()
     N = 1 << m
@@ -359,16 +343,13 @@ def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
         refs = [base + i for i in range(n)] + [ZERO] * (N - n)
         for mu, k, s in levels:
             refs = _radix_sym(bld, refs, mu, k, 1 << s, True)
-        return _trace_forward(bld, mats, eng, m, refs)
+        return _trace_forward(bld, mats, m, refs)
 
     la = transform_side(1)
     lb = transform_side(n + 1)
     widths = schedule(m)[-1].width.tolist()
-    lanes = [
-        _lane_mul_sym(bld, mats, eng.field, _pad(a, w), _pad(b, w), w)
-        for a, b, w in zip(la, lb, widths)
-    ]
-    poly = _trace_inverse(bld, mats, eng, m, lanes)
+    lanes = [_lane_mul_sym(bld, mats, _pad(a, w), _pad(b, w), w) for a, b, w in zip(la, lb, widths)]
+    poly = _trace_inverse(bld, mats, m, lanes)
     for mu, k, s in reversed(levels):
         poly = _radix_sym(bld, poly, mu, k, 1 << s, False)
     outputs = poly[:need]
@@ -444,6 +425,8 @@ def parse_slp(text: str) -> Circuit:
 def eval_slp(circ: Circuit, a_bits: list[int], b_bits: list[int]) -> list[int]:
     """Replay the circuit bitsliced: each wire is an int, one trial per bit."""
     n = circ.n
+    if len(a_bits) != n or len(b_bits) != n:
+        raise ValueError(f"expected {n} bits per operand, got {len(a_bits)} and {len(b_bits)}")
     wires = [0] + a_bits + b_bits
     for op, x, y in circ.gates:
         wires.append((wires[x] & wires[y]) if op == "AND" else (wires[x] ^ wires[y]))

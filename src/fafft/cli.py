@@ -149,6 +149,10 @@ def _cmd_gen_circuit(args) -> int:
     if args.n < 1:
         print("need n >= 1", file=sys.stderr)
         return 2
+    m = (2 * args.n - 2).bit_length()  # the 2n - 1 product bits need 2^m points
+    if m > 1 << args.k:
+        print(f"product needs 2^{m} points, above the field size 2^{1 << args.k}", file=sys.stderr)
+        return 2
     c = gen_mul_circuit(args.n, cse=not args.no_cse)
     print(f"and={c.and_count} xor={c.xor_count} total={c.and_count + c.xor_count}")
     if args.out is not None:

@@ -1,12 +1,12 @@
 """Batched depth-by-depth execution of the pruned transform.
 
 transform.schedule(m) lists the segments of the pruned tree depth by depth,
-and transform.FaftEngine's recursion is the correctness reference.  This
-module runs that schedule one depth at a time: every surviving segment at
-depth j has the same length 2^(m-j), so one reshape turns the flat state
-vector into a (segments, 2, half) array and each depth is a handful of
-whole-array operations.  A plan adds only what the field fixes: twiddles,
-shifts, masks and dtypes.
+with their twiddles, and transform.FaftEngine's recursion is the
+correctness reference.  This module runs that schedule one depth at a time:
+every surviving segment at depth j has the same length 2^(m-j), so one
+reshape turns the flat state vector into a (segments, 2, half) array and
+each depth is a handful of whole-array operations.  A plan adds only the
+array form: row gathers, shifts, masks, dtypes and product widths.
 
 The forward step writes q0 = p0 + tw * p1 and q1 = q0 + p1 straight into a
 fresh (segments, 2, half) buffer.  Read row by row, that buffer is the next
@@ -95,7 +95,7 @@ def _product_width(t: np.ndarray, width: int) -> int:
 
 
 class LayeredEngine:
-    """Array-batched pruned transform sharing a FaftEngine's field tables."""
+    """Array-batched pruned transform; the FaftEngine's field bounds m."""
 
     def __init__(self, eng: FaftEngine):
         self.eng = eng
@@ -108,18 +108,11 @@ class LayeredEngine:
 
     def _build_plan(self, m: int) -> _Plan:
         self.eng._check_m(m)
-        rows_np = self.eng.twiddles.rows_np()
         sched = schedule(m)
         layers: list[_Layer] = []
         for depth, seg in enumerate(sched[:-1]):
-            k = m - depth
-            row = rows_np[k - 1]
-            tws = np.zeros(len(seg.alpha), dtype=_U)
-            for b in range(k, m):  # alphas have no coordinates below k
-                tws ^= row[b] * ((seg.alpha >> _U(b)) & _U(1))
             trunc = seg.trunc
             lu = seg.l.astype(_U)
-            c = np.where(trunc, tws ^ (_U(1) << lu), tws)
             width = int(seg.width.max())
             child = _dtype(int(sched[depth + 1].width.max()))
             ones = np.iinfo(child).max
@@ -128,16 +121,16 @@ class LayeredEngine:
                 rows = np.flatnonzero(np.column_stack((np.ones_like(trunc), ~trunc)))
             layers.append(
                 _Layer(
-                    length=1 << k,
-                    count=len(tws),
+                    length=1 << (m - depth),
+                    count=len(trunc),
                     rows=rows,
                     width=width,
                     dtype=_dtype(width),
                     child_dtype=child,
-                    tw=_narrow(tws),
-                    tw_width=_product_width(tws, width),
-                    c=_narrow(c),
-                    c_width=_product_width(c, width),
+                    tw=_narrow(seg.tw),
+                    tw_width=_product_width(seg.tw, width),
+                    c=_narrow(seg.c),
+                    c_width=_product_width(seg.c, width),
                     shift=np.where(trunc, seg.l, 0).astype(np.uint8)[:, None],
                     mask=np.where(trunc, (_U(1) << lu) - _U(1), ones).astype(child)[:, None],
                 )
@@ -210,7 +203,10 @@ class LayeredEngine:
 
     def pointwise(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         """Lane-by-lane field product of two leaf vectors (uint64)."""
-        return _mul_vec(a, b, self.plan(m).leaf_width).astype(_U, copy=False)
+        p = self.plan(m)
+        if np.shape(a)[-1:] != p.leaf_max.shape or np.shape(b)[-1:] != p.leaf_max.shape:
+            raise ValueError(f"expected {len(p.leaf_max)} leaves, got {np.shape(a)}, {np.shape(b)}")
+        return _mul_vec(a, b, p.leaf_width).astype(_U, copy=False)
 
     # ----- packing helpers ----------------------------------------------
 

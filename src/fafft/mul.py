@@ -22,14 +22,8 @@ __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
 
-_engines: dict[int, tuple[FaftEngine, LayeredEngine]] = {}
-
-
-def _engine_pair(K: int) -> tuple[FaftEngine, LayeredEngine]:
-    if K not in _engines:
-        eng = FaftEngine(K)
-        _engines[K] = (eng, LayeredEngine(eng))
-    return _engines[K]
+# One engine for every tower height: the tower is nested, so K only bounds m.
+_LAYERED = LayeredEngine(FaftEngine(6))
 
 
 def _check_operands(a: int, b: int) -> None:
@@ -82,20 +76,21 @@ def mul_karatsuba(a: int, b: int) -> int:
 
 
 def mul_fafft(a: int, b: int, K: int = 6) -> int:
-    """Transform pipeline multiplication."""
+    """Transform pipeline multiplication over the tower of height K."""
     _check_operands(a, b)
+    if not 1 <= K <= 6:
+        raise ValueError(f"tower height K must be in 1..6, got {K}")
     if a == 0 or b == 0:
         return 0
     need = a.bit_length() + b.bit_length() - 1
     m = (need - 1).bit_length()
-    eng, lay = _engine_pair(K)
-    if m > eng.field.d:
-        raise ValueError(f"product needs 2^{m} points, above the field size 2^{eng.field.d}")
+    if m > 1 << K:
+        raise ValueError(f"product needs 2^{m} points, above the field size 2^{1 << K}")
     n = 1 << m
-    lanes = np.stack([lay.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
-    va, vb = lay.forward(lanes, m)
-    vc = lay.pointwise(va, vb, m)
-    g = lay.lanes_to_bits(lay.inverse(vc, m))
+    lanes = np.stack([_LAYERED.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
+    va, vb = _LAYERED.forward(lanes, m)
+    vc = _LAYERED.pointwise(va, vb, m)
+    g = _LAYERED.lanes_to_bits(_LAYERED.inverse(vc, m))
     c = from_novel(g, n)
     if c.bit_length() > need:
         raise RuntimeError(f"product has {c.bit_length()} bits, operands allow {need}")

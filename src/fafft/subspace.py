@@ -67,7 +67,6 @@ class TwiddleTable:
             prev = rows[-1]
             rows.append([field.frobenius(t) ^ t for t in prev])
         self.rows = rows
-        self._rows_np = None
 
     def value(self, j: int, i: int) -> int:
         """s_j(v_i)."""
@@ -87,7 +86,5 @@ class TwiddleTable:
         return r
 
     def rows_np(self) -> np.ndarray:
-        """The table as a (d, d) uint64 array, built on first use."""
-        if self._rows_np is None:
-            self._rows_np = np.array(self.rows, dtype=np.uint64)
-        return self._rows_np
+        """The table as a (d, d) uint64 array."""
+        return np.array(self.rows, dtype=np.uint64)

@@ -23,17 +23,18 @@ tw = c + v_l with c in GF(2^l): the skipped half of the state is the shifted
 top of the surviving half, so the inverse recovers P1 = q >> l and
 P0 = (q mod 2^l) + c * P1 coefficient by coefficient.
 
-schedule(m) writes the pruned tree out once, depth by depth, and every
-consumer reads it: count_ops, n_cross_section, FaftEngine.cross_section,
-the numpy engine and the circuit generator.  FaftEngine's recursion keeps
-its own copy of the state rule and serves as the oracle the tests compare
-against.
+schedule(m) writes the pruned tree out once, depth by depth, twiddles
+included, and every consumer reads it: count_ops, n_cross_section,
+FaftEngine.cross_section, the numpy engine and the circuit generator.  The
+Cantor tower is nested (s_j(v_i) for i < 2^K are the same ints at every
+height K), so one GF(2^64) table serves every field and K only bounds m.
+FaftEngine's recursion keeps its own twiddles and state rule as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,34 +107,52 @@ class Depth(NamedTuple):
     l: np.ndarray  # int64: recursion state
     width: np.ndarray  # int64: binru(l), the bits of a value at that state
     trunc: np.ndarray  # bool: the segment keeps only its first half
+    tw: np.ndarray  # uint64: twiddle s_{k-1}(alpha); 0 at the leaves
+    c: np.ndarray  # uint64: tw with v_l cleared on truncated segments
 
-    def segments(self) -> list[tuple[int, int, int, bool]]:
-        """(alpha, l, width, trunc) per segment, as Python scalars."""
+    def segments(self) -> list[tuple[int, int, int, bool, int, int]]:
+        """(alpha, l, width, trunc, tw, c) per segment, as Python scalars."""
         return list(zip(*(c.tolist() for c in self)))
+
+
+@lru_cache(maxsize=None)
+def _twiddle_rows() -> np.ndarray:
+    """s_j(v_i) over GF(2^64), the table of every tower height at once."""
+    return TwiddleTable(CantorField(6)).rows_np()
 
 
 @lru_cache(maxsize=None)
 def schedule(m: int) -> tuple[Depth, ...]:
     """The pruned tree at size 2^m: depth j holds the segments of length
-    2^(m-j), and the last of the m + 1 depths holds the leaves, whose points
-    form the cross-section.
+    2^(m-j) with their twiddles, and the last of the m + 1 depths holds the
+    leaves, whose points form the cross-section.
 
-    Field-independent: twiddles s_{m-j-1}(alpha) are left to the consumer.
     The arrays are shared by every caller and read-only.
     """
-    if m < 0:
-        raise ValueError(f"transform size exponent {m} is negative")
+    if not 0 <= m <= 64:
+        raise ValueError(f"transform size exponent {m} outside 0..64")
+    rows = _twiddle_rows()
     # per-state tables, indexed by l <= depth
     widths = np.array([binru(x) for x in range(m + 1)])
     truncs = np.array([_truncated(x) for x in range(m + 1)])
 
-    def depth(alpha, l):
-        d = Depth(alpha, l, widths[l], truncs[l])
+    def depth(alpha, l, k):
+        trunc = truncs[l]
+        tw = np.zeros(len(alpha), dtype=np.uint64)
+        c = tw
+        if k:
+            for b in range(k, m):  # alphas have no coordinates below k
+                tw ^= rows[k - 1, b] * ((alpha >> np.uint64(b)) & np.uint64(1))
+            lu = l.astype(np.uint64)
+            c = tw ^ (trunc.astype(np.uint64) << lu)
+            if np.any(trunc & (c >> lu != 0)):
+                raise RuntimeError(f"a truncated twiddle at m={m} is not v_l + (lower bits)")
+        d = Depth(alpha, l, widths[l], trunc, tw, c)
         for a in d:
             a.setflags(write=False)
         return d
 
-    depths = [depth(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64))]
+    depths = [depth(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64), m)]
     for k in range(m, 0, -1):
         d = depths[-1]
         # children: 0 and 1 below the spine, l + 1 elsewhere; the second
@@ -146,7 +165,7 @@ def schedule(m: int) -> tuple[Depth, ...]:
             keep = np.ones(len(l), dtype=bool)
             keep[1::2] = ~d.trunc
             alpha, l = alpha[keep], l[keep]
-        depths.append(depth(alpha, l))
+        depths.append(depth(alpha, l, k - 1))
     return tuple(depths)
 
 
@@ -190,8 +209,12 @@ class FaftEngine:
 
     def __init__(self, K: int = 6):
         self.field = CantorField(K)
-        self.twiddles = TwiddleTable(self.field)
         self._cs: dict[int, tuple[CrossSectionPoint, ...]] = {}
+
+    @cached_property
+    def twiddles(self) -> TwiddleTable:
+        """The oracle's own twiddle table, built on first use."""
+        return TwiddleTable(self.field)
 
     # ----- plain additive FFT -------------------------------------------
 
@@ -307,7 +330,7 @@ class FaftEngine:
         if m not in self._cs:
             self._check_m(m)
             leaves = schedule(m)[-1]
-            self._cs[m] = tuple(CrossSectionPoint(a, l, w) for a, l, w, _ in leaves.segments())
+            self._cs[m] = tuple(CrossSectionPoint(a, l, w) for a, l, w, *_ in leaves.segments())
         return self._cs[m]
 
     def expand_to_full_aft(self, m: int, values: list[int]) -> list[int]:
@@ -337,6 +360,7 @@ class FaftEngine:
     def faft(self, f: int, m: int, counters: OpCounters | None = None) -> FaftResult:
         """Pruned transform of a GF(2)[x] polynomial (bit i = coeff of x^i)
         of degree below 2^m."""
+        self._check_m(m)
         n = 1 << m
         g = to_novel(f, n)
         coeffs = [(g >> i) & 1 for i in range(n)]

@@ -209,3 +209,11 @@ def test_gate_refs_are_topological():
 def test_bad_n():
     with pytest.raises(ValueError):
         gen_mul_circuit(0)
+
+
+def test_eval_rejects_wrong_operand_width():
+    c = gen_mul_circuit(2)
+    assert eval_slp(c, [1, 1], [1, 0]) == [1, 1, 0]  # (1 + x) * 1
+    for a_bits, b_bits in (([1, 1, 0], [1, 0]), ([1, 1], [1]), ([], [])):
+        with pytest.raises(ValueError):
+            eval_slp(c, a_bits, b_bits)

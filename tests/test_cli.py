@@ -38,6 +38,11 @@ def test_k_limits_fafft_sizes(capsys):
     assert (code, out.strip()) == (0, "55")
     code, out = run(capsys, "--k", "2", "bench", "--min-log", "4", "--max-log", "5")
     assert (code, out) == (2, "")
+    # n = 2 has a 3-bit product, which fits GF(4); n = 3 has a 5-bit one
+    code, out = run(capsys, "--k", "1", "gen-circuit", "--n", "2")
+    assert code == 0 and out.startswith("and=")
+    code, out = run(capsys, "--k", "1", "gen-circuit", "--n", "3")
+    assert (code, out) == (2, "")
 
 
 def test_mul_zero(capsys):

@@ -2,9 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from fafft.engine import LayeredEngine
 from fafft.mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
+from fafft.transform import FaftEngine
 
 
 def conv_naive(a: int, b: int) -> int:
@@ -106,6 +109,34 @@ def test_ring_properties():
         b = rng.getrandbits(80)
         c = rng.getrandbits(80)
         assert mul_fafft(mul_fafft(a, b), c) == mul_fafft(a, mul_fafft(b, c))
+
+
+def test_tower_height_bounds_product_size():
+    # GF(2^(2^K)) has 2^(2^K) points, enough for a product of that many bits
+    rng = random.Random(9)
+
+    def operand(bits):
+        return rng.getrandbits(bits - 1) | (1 << (bits - 1))
+
+    for K in range(1, 5):
+        n = 1 << (1 << K)
+        a, b = operand(n // 2), operand(n // 2 + 1)
+        assert mul_fafft(a, b, K) == mul_schoolbook(a, b)
+        with pytest.raises(ValueError):
+            mul_fafft(a, b << 1, K)
+    for K in (0, 7):
+        with pytest.raises(ValueError):
+            mul_fafft(3, 3, K)
+
+
+def test_pointwise_rejects_wrong_lane_count():
+    lay = LayeredEngine(FaftEngine(6))
+    leaves = np.ones(len(lay.plan(5).leaf_max), dtype=np.uint64)  # 8 leaves
+    assert lay.pointwise(leaves, leaves, 5).tolist() == leaves.tolist()
+    # one lane would broadcast against eight without the check
+    for a, b in ((leaves[:3], leaves[:3]), (leaves, leaves[:1]), (leaves[:1], leaves)):
+        with pytest.raises(ValueError):
+            lay.pointwise(a, b, 5)
 
 
 def test_dispatch():

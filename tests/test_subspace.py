@@ -145,6 +145,19 @@ def test_twiddle_level_out_of_range(field):
         table.twiddle(-1, 1)
 
 
+@pytest.mark.parametrize("K", range(1, 6))
+def test_tower_is_nested(K, field):
+    # a height-K tower is the low corner of the height-6 one, so twiddles
+    # and products are the same ints at every height
+    small = CantorField(K)
+    d = small.d
+    assert [row[:d] for row in TwiddleTable(field).rows[:d]] == TwiddleTable(small).rows
+    rng = random.Random(K)
+    for _ in range(200):
+        a, b = rng.randrange(small.order), rng.randrange(small.order)
+        assert small.mul(a, b) == field.mul(a, b)
+
+
 def test_rows_np_roundtrip(field):
     table = TwiddleTable(field)
     arr = table.rows_np()

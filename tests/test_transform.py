@@ -7,6 +7,7 @@ import pytest
 from fafft.basis import to_novel
 from fafft.field import binru
 from fafft.subspace import eval_subspace
+from fafft import transform
 from fafft.transform import FaftEngine, OpCounters, count_ops, n_cross_section, schedule
 
 
@@ -179,11 +180,23 @@ def test_schedule_matches_recursive_walk(eng):
             assert list(zip(d.alpha.tolist(), d.l.tolist())) == want[depth]
             assert d.width.tolist() == [binru(l) for _, l in want[depth]]
             assert d.trunc.tolist() == [l > 0 and l & (l - 1) == 0 for _, l in want[depth]]
-            if depth < m:
-                # every state l >= 1 has s_{k-1}(alpha) = v_l + (lower bits)
-                for alpha, l in want[depth]:
-                    if l >= 1:
-                        assert eng.twiddles.twiddle(m - depth - 1, alpha) >> l == 1
+            for alpha, l, _, trunc, tw, c in d.segments():
+                if depth == m:
+                    assert (tw, c) == (0, 0)
+                    continue
+                assert tw == eng.twiddles.twiddle(m - depth - 1, alpha)
+                if trunc:  # tw = v_l + c with c in GF(2^l)
+                    assert c == tw ^ (1 << l) and c >> l == 0
+                else:
+                    assert c == tw
+
+
+def test_schedule_rejects_twiddle_without_unit_top(monkeypatch):
+    rows = transform._twiddle_rows().copy()
+    rows[0, 1] ^= 2  # s_0(v_1) = v_1 no longer: the state-1 segment at m = 2 breaks
+    monkeypatch.setattr(transform, "_twiddle_rows", lambda: rows)
+    with pytest.raises(RuntimeError):
+        transform.schedule.__wrapped__(2)
 
 
 def test_ifafft_roundtrip(eng):
@@ -248,3 +261,16 @@ def test_bad_inputs(eng):
         eng.ifafft_leaves(3, [0, 0])
     with pytest.raises(ValueError):
         eng.ifaft([5, 0, 3], 2)
+    for m in (-1, 65):
+        with pytest.raises(ValueError):
+            schedule(m)
+
+
+def test_faft_checks_size_before_conversion(eng, monkeypatch):
+    # to_novel would build 2^m-bit masks; the size check must come first
+    def fail(f, n):
+        raise AssertionError("to_novel called before the size check")
+
+    monkeypatch.setattr(transform, "to_novel", fail)
+    with pytest.raises(ValueError):
+        eng.faft(1, 65)
