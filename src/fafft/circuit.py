@@ -455,6 +455,8 @@ def verify_slp(
     """Compare the circuit against the quadratic convolution on bitsliced
     batches: every (a, b) pair when 2^(2n) fits the limit, otherwise edge
     patterns plus random trials."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     if isinstance(circ, str):
         circ = parse_slp(circ)
     n = circ.n

@@ -32,6 +32,16 @@ def _hex_poly(s: str) -> int:
     return v
 
 
+def _count(s: str) -> int:
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{s!r} is not an integer")
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fafft",
@@ -72,7 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("verify-circuit", help="check an SLP against the convolution")
     q.add_argument("--slp", type=Path, required=True, help="SLP file to verify")
-    q.add_argument("--trials", type=int, default=10_000, help="random trials (plus edge patterns)")
+    q.add_argument(
+        "--trials", type=_count, default=10_000, help="random trials (plus edge patterns)"
+    )
 
     sub.add_parser("selftest", help="quick end-to-end consistency battery")
     return p

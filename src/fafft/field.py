@@ -103,8 +103,10 @@ def _mul_vec(a, b, w: int):
 
 def _span(cols) -> np.ndarray:
     """Subset-XOR table: entry i is the XOR of cols[j] over the set bits j
-    of i.  A GF(2)-linear map is its span table over the basis images."""
-    t = np.zeros((1,) + np.shape(cols[0]), dtype=np.uint64)
+    of i, in the dtype of cols.  A GF(2)-linear map is its span table over
+    the basis images."""
+    cols = np.asarray(cols)
+    t = np.zeros((1,) + cols.shape[1:], dtype=cols.dtype)
     for c in cols:
         t = np.concatenate([t, t ^ c])
     return t
@@ -309,7 +311,7 @@ def _build_log16():
     c = g  # g^len(pw)
     while len(pw) <= q:
         # x * c is GF(2)-linear in x: one span table per byte of x
-        cols = [f.mul(c, 1 << i) for i in range(16)]
+        cols = np.array([f.mul(c, 1 << i) for i in range(16)], dtype=np.uint64)
         lo, hi = _span(cols[:8]), _span(cols[8:])
         pw = np.concatenate([pw, lo[pw & 0xFF] ^ hi[pw >> 8]])
         c = f.mul(c, c)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import CantorField
+from .field import CantorField, _span
 
 __all__ = ["SubspaceCoeffs", "subspace_coeffs", "eval_subspace", "TwiddleTable"]
 
@@ -55,18 +55,29 @@ class TwiddleTable:
 
     Rows are filled once at construction (row j + 1 follows from row j by one
     Frobenius step per entry, since s_{j+1} = s_1 composed with s_j).  The
-    twiddle of an arbitrary point alpha is the XOR of the rows selected by
-    alpha's coordinates, by GF(2)-linearity of s_j.
+    Frobenius map is GF(2)-linear, so a whole row steps through one span
+    table of its bit matrix per byte of an element.  The twiddle of an
+    arbitrary point alpha is the XOR of the rows selected by alpha's
+    coordinates, by GF(2)-linearity of s_j.
     """
 
     def __init__(self, field: CantorField):
         self.field = field
         d = field.d
-        rows = [[1 << i for i in range(d)]]  # s_0(v_i) = v_i
+        nbytes = (d + 7) // 8
+        # frob[v, p]: the square of byte v placed at byte p of an element
+        sq = np.zeros(8 * nbytes, dtype=np.uint64)
+        sq[:d] = field._sq
+        frob = _span(sq.reshape(nbytes, 8).T)
+        shifts = np.arange(0, 8 * nbytes, 8, dtype=np.uint64)
+        pos = np.arange(nbytes)
+        row = np.uint64(1) << np.arange(d, dtype=np.uint64)  # s_0(v_i) = v_i
+        rows = [row]
         for _ in range(d - 1):
-            prev = rows[-1]
-            rows.append([field.frobenius(t) ^ t for t in prev])
-        self.rows = rows
+            byte = (row[:, None] >> shifts) & np.uint64(0xFF)
+            row = np.bitwise_xor.reduce(frob[byte, pos], axis=1) ^ row
+            rows.append(row)
+        self.rows = np.array(rows).tolist()
 
     def value(self, j: int, i: int) -> int:
         """s_j(v_i)."""

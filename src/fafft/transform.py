@@ -335,10 +335,15 @@ class FaftEngine:
 
     def expand_to_full_aft(self, m: int, values: list[int]) -> list[int]:
         """Rebuild the full 2^m evaluation vector from cross-section values
-        by walking each Frobenius orbit.  Every slot is written exactly once."""
+        by walking each Frobenius orbit.  Every slot is written exactly once.
+
+        Each value must lie in its leaf's orbit subfield, GF(2^orbit)."""
         pts = self.cross_section(m)
         if len(values) != len(pts):
             raise ValueError(f"expected {len(pts)} values for m={m}, got {len(values)}")
+        for pt, val in zip(pts, values):
+            if not 0 <= val < 1 << pt.orbit:
+                raise ValueError(f"value {val:#x} at point {pt.index} outside GF(2^{pt.orbit})")
         frob = self.field.frobenius
         out: list[int | None] = [None] * (1 << m)
         for pt, val in zip(pts, values):
@@ -346,13 +351,13 @@ class FaftEngine:
             v = val
             for _ in range(pt.orbit):
                 if out[x] is not None:
-                    raise AssertionError(f"orbit collision at index {x}")
+                    raise RuntimeError(f"orbit collision at index {x}")
                 out[x] = v
                 x = frob(x)
                 v = frob(v)
         missing = [i for i, v in enumerate(out) if v is None]
         if missing:
-            raise AssertionError(f"orbit expansion left slots unwritten: {missing[:4]}")
+            raise RuntimeError(f"orbit expansion left slots unwritten: {missing[:4]}")
         return out  # type: ignore[return-value]
 
     # ----- whole-polynomial entry points --------------------------------

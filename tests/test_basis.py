@@ -129,6 +129,24 @@ def test_packed_matches_bit_planes(field):
             assert out_plane == to_novel(plane, n)
 
 
+def test_packed_at_square_width_matches_rows():
+    # w = n = 2^m: an n x n bit matrix, one coefficient vector per bit plane
+    rng = random.Random(27)
+    for m in range(0, 9):
+        n = 1 << m
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        packed = sum(((r >> i) & 1) << (i * n + j) for j, r in enumerate(rows) for i in range(n))
+
+        def plane(f, j):
+            return sum(((f >> (i * n + j)) & 1) << i for i in range(n))
+
+        fwd = to_novel_packed(packed, n, n)
+        back = from_novel_packed(packed, n, n)
+        for j, r in enumerate(rows):
+            assert plane(fwd, j) == to_novel(r, n)
+            assert plane(back, j) == from_novel(r, n)
+
+
 def test_word_count_scaling():
     rng = random.Random(26)
     counts = {}

@@ -206,6 +206,13 @@ def test_gate_refs_are_topological():
         assert 0 <= y <= 2 * n + i
 
 
+def test_verify_rejects_negative_trials():
+    c = gen_mul_circuit(6)
+    assert verify_slp(c, trials=0).ok
+    with pytest.raises(ValueError):
+        verify_slp(c, trials=-1)
+
+
 def test_bad_n():
     with pytest.raises(ValueError):
         gen_mul_circuit(0)

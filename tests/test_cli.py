@@ -168,6 +168,18 @@ def test_verify_circuit_unreadable(capsys, tmp_path):
     assert "cannot load SLP" in capsys.readouterr().err
 
 
+def test_verify_circuit_rejects_negative_trials(capsys, tmp_path):
+    good = tmp_path / "good.slp"
+    good.write_text(gen_mul_circuit(6).to_slp())
+    for trials in ("-1", "x"):
+        with pytest.raises(SystemExit) as e:
+            main(["verify-circuit", "--slp", str(good), "--trials", trials])
+        assert e.value.code == 2
+    code, out = run(capsys, "verify-circuit", "--slp", str(good), "--trials", "0")
+    assert code == 0
+    assert out.startswith("ok ")
+
+
 def test_selftest(capsys):
     for argv in (["selftest"], ["--k", "1", "selftest"]):
         code, out = run(capsys, *argv)

@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fafft.basis import from_novel, to_novel
 from fafft.engine import LayeredEngine
-from fafft.mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
+from fafft.mul import _tables, mul, mul_fafft, mul_karatsuba, mul_schoolbook
 from fafft.transform import FaftEngine
 
 
@@ -147,3 +150,91 @@ def test_dispatch():
         mul(1, 1, "fft")
     with pytest.raises(ValueError):
         mul(-1, 1)
+
+
+# ----- byte tables (products of at most 2^8 bits) ---------------------
+
+
+@pytest.fixture(scope="module")
+def lay():
+    return LayeredEngine(FaftEngine(6))
+
+
+def test_table_path_covers_leaves_of_one_byte(lay):
+    for m in range(0, 12):
+        assert (lay.plan(m).leaf_width <= 8) == (m <= 8)
+
+
+def test_input_table_matches_engine(lay):
+    rng = random.Random(70)
+    for m in range(0, 9):
+        n = 1 << m
+        for _ in range(20):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            lanes = np.stack([lay.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
+            assert _tables(m).leaves(a, b).tolist() == lay.forward(lanes, m).tolist()
+
+
+def test_output_table_matches_engine(lay):
+    rng = random.Random(71)
+    for m in range(0, 9):
+        n = 1 << m
+        widths = lay.plan(m).leaf_widths.tolist()
+        for _ in range(20):
+            leaves = np.array([rng.getrandbits(w) for w in widths], dtype=np.uint64)
+            want = from_novel(lay.lanes_to_bits(lay.inverse(leaves, m)), n)
+            assert _tables(m).product(leaves) == want
+
+
+def test_table_switch_and_edge_operands():
+    rng = random.Random(72)
+
+    def operand(bits):
+        return rng.getrandbits(bits - 1) | (1 << (bits - 1))
+
+    cases = []
+    for need in (1 << 8, (1 << 8) + 1):  # the last table size, the first engine size
+        for la in (1, 2, 8, 100, need // 2, need):
+            cases.append((operand(la), operand(need + 1 - la)))
+        cases.append((1 << (need - 1), 1))  # every byte but the top one zero
+        cases.append((operand(need - 20), operand(21) & ~0xFF))
+    for a, b in cases:
+        assert mul_fafft(a, b) == mul_schoolbook(a, b)
+        assert mul_fafft(b, a) == mul_schoolbook(a, b)
+    for a in (0, 1, (1 << 255) | 1, (1 << 256) - 1):
+        assert mul_fafft(a, 0) == mul_fafft(0, a) == 0
+        assert mul_fafft(a, 1) == mul_fafft(1, a) == a
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.data())
+def test_property_fafft_matches_schoolbook(data):
+    need = data.draw(st.integers(1, 1 << 10), label="product bits")
+    la = data.draw(st.integers(1, need), label="bits of a")
+    a = data.draw(st.integers(0, (1 << la) - 1), label="a")
+    b = data.draw(st.integers(0, (1 << (need + 1 - la)) - 1), label="b")
+    assert mul_fafft(a, b) == mul_schoolbook(a, b)
+
+
+# ----- operand types ----------------------------------------------------
+
+
+@pytest.mark.parametrize("route", ALL + (mul,))
+def test_operands_must_be_integers(route):
+    for bad in (True, False, np.True_, 1.5, 2.0, "3", None, np.float64(3)):
+        with pytest.raises(TypeError):
+            route(bad, 3)
+        with pytest.raises(TypeError):
+            route(3, bad)
+    with pytest.raises(ValueError):
+        route(np.int64(-1), 3)
+
+
+@pytest.mark.parametrize("route", ALL + (mul,))
+def test_numpy_integer_operands(route):
+    for a, b in ((np.int64(5), 3), (5, np.uint8(3)), (np.uint64(0xB), np.int32(0xD))):
+        c = route(a, b)
+        assert type(c) is int
+        assert c == conv_naive(int(a), int(b))
+    big = np.uint64(2**64 - 1)
+    assert route(big, big) == conv_naive(2**64 - 1, 2**64 - 1)

@@ -137,6 +137,15 @@ def test_twiddle_equals_eval(field):
         assert table.twiddle(j, a) == eval_subspace(field, j, a)
 
 
+@pytest.mark.parametrize("K", range(1, 7))
+def test_rows_equal_eval_at_every_height(K):
+    # the rows step by byte tables of the Frobenius matrix, padded below d = 8
+    f = CantorField(K)
+    table = TwiddleTable(f)
+    for j in range(0, f.d, max(1, f.d // 16)):
+        assert table.rows[j] == [eval_subspace(f, j, 1 << i) for i in range(f.d)]
+
+
 def test_twiddle_level_out_of_range(field):
     table = TwiddleTable(field)
     with pytest.raises(ValueError):

@@ -160,6 +160,22 @@ def test_expand_matches_full_afft(eng):
         assert expanded == full
 
 
+def test_expand_rejects_values_outside_orbit_subfield(eng):
+    with pytest.raises(ValueError):
+        eng.expand_to_full_aft(0, [2])
+    rng = random.Random(36)
+    m = 5
+    pts = eng.cross_section(m)
+    for i, pt in enumerate(pts):
+        values = [rng.getrandbits(p.orbit) for p in pts]
+        values[i] = 1 << pt.orbit
+        with pytest.raises(ValueError):
+            eng.expand_to_full_aft(m, values)
+        values[i] = -1
+        with pytest.raises(ValueError):
+            eng.expand_to_full_aft(m, values)
+
+
 def test_schedule_matches_recursive_walk(eng):
     def walk(k, l, alpha, depth, out):
         out[depth].append((alpha, l))
