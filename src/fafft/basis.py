@@ -49,9 +49,10 @@ class ConvTally:
 
 
 @lru_cache(maxsize=256)
-def _half_mask(total: int, seg: int) -> int:
-    """Mask selecting the low half of every seg-bit segment of a total-bit int."""
-    p = (1 << (seg >> 1)) - 1
+def _high_mask(total: int, seg: int) -> int:
+    """Mask selecting the high half of every seg-bit segment of a total-bit int."""
+    h = seg >> 1
+    p = ((1 << h) - 1) << h
     span = seg
     while span < total:
         p |= p << span
@@ -71,24 +72,24 @@ def _levels(m: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((mu, k, 0) for mu in range(m, k, -1)) + outer + _levels(k)
 
 
-def _radix_fwd(f: int, low: int, hb: int, ab: int) -> int:
+def _radix_fwd(f: int, high: int, d: int) -> int:
     """Write every segment of f as q * y^A + r, y^A = x^(2H) + x^A, and
     store [r | q].
 
-    hb and ab are H and A in bits, and low masks the low half of every
-    segment.  Two unconditional fold rounds suffice since A <= H/2.
+    high masks the high half of every segment, and d = H - A in bits; f ^ h
+    is then the low halves, as f has no bits past the mask.  With
+    f = [r0 | q], the first fold adds q x^A into the low half and may carry
+    bits past it; a second fold of that carry settles r, since A <= H/2,
+    and the carry joins the quotient.
     """
-    t = (f >> hb) & low
-    q = t
-    r = (f & low) ^ (t << ab)
-    t = (r >> hb) & low
-    return ((r & low) ^ (t << ab)) | ((q ^ t) << hb)
+    h = f & high
+    r = f ^ h ^ (h >> d)
+    return r ^ ((r & high) >> d) ^ h
 
 
-def _radix_inv(f: int, low: int, hb: int, ab: int) -> int:
+def _radix_inv(f: int, high: int, d: int) -> int:
     """Undo _radix_fwd: rebuild q * (x^(2H) + x^A) + r."""
-    q = (f >> hb) & low
-    return (f & low) ^ (q << ab) ^ (q << hb)
+    return f ^ ((f & high) >> d)
 
 
 def to_novel(f: int, n: int, tally: ConvTally | None = None) -> int:
@@ -129,11 +130,11 @@ def _convert(f: int, total: int, m: int, w: int, tally, forward: bool) -> int:
     the levels in order, or their inverses in reverse order."""
     for mu, k, s in _levels(m) if forward else reversed(_levels(m)):
         hb = w << s << (mu - 1)
-        ab = w << s << (mu - 1 - k)
-        low = _half_mask(total, 2 * hb)
-        f = _radix_fwd(f, low, hb, ab) if forward else _radix_inv(f, low, hb, ab)
+        d = hb - (w << s << (mu - 1 - k))
+        high = _high_mask(total, 2 * hb)
+        f = _radix_fwd(f, high, d) if forward else _radix_inv(f, high, d)
         if tally is not None:
-            tally.words += (8 if forward else 5) * ((total >> 6) + 1)
+            tally.words += (8 if forward else 3) * ((total >> 6) + 1)
     return f
 
 

@@ -12,6 +12,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from .basis import from_novel, to_novel, to_novel_by_division
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--expand", action="store_true", help="also print the full 2^m vector")
     q.add_argument("--dump-twiddles", action="store_true", help="also print s_j(v_i) for j <= i < m")
 
-    q = sub.add_parser("bench", help="time the multiplication routes")
+    q = sub.add_parser("bench", help="time the multiplication routes and their peak memory")
     q.add_argument("--min-log", type=int, default=14, help="smallest product size, log2 bits")
     q.add_argument("--max-log", type=int, default=18, help="largest product size, log2 bits")
     q.add_argument("--reps", type=int, default=3, help="timed repetitions per point")
@@ -137,7 +138,7 @@ def _cmd_bench(args) -> int:
         ("schoolbook", mul_schoolbook),
         ("karatsuba", mul_karatsuba),
     )
-    lines = ["method,log_bits,seconds_median"]
+    lines = ["method,log_bits,seconds_median,peak_mib"]
     for logn in range(args.min_log, args.max_log + 1):
         half = (1 << logn) // 2
         a = rng.getrandbits(half) | (1 << (half - 1))
@@ -149,7 +150,13 @@ def _cmd_bench(args) -> int:
                 t0 = time.perf_counter()
                 f(a, b)
                 times.append(time.perf_counter() - t0)
-            lines.append(f"{name},{logn},{statistics.median(times):.6f}")
+            tracemalloc.start()  # numpy reports its buffers to tracemalloc
+            try:
+                f(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            lines.append(f"{name},{logn},{statistics.median(times):.6f},{peak / 2**20:.4f}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.csv is not None:

@@ -22,11 +22,17 @@ with s = 0, mask = all ones and c = tw on a branching segment, and s = l,
 mask = 2^l - 1 and c = tw + v_l on a truncated one (tw = c + v_l with c in
 GF(2^l), see transform.py).
 
-The twiddle products multiply each segment's row by one constant.  They go
-through the vector field product at the narrowest width that holds both the
-constants and the values of the depth: a value at recursion state l has
-binru(l) bits, and where every value is a single bit (the top depths) the
-product is an integer multiply.
+Every multiplication in the transform is a twiddle product: each segment's
+row times one constant, fixed before any data arrives.  So the plan turns
+each depth's tw and c into a constant multiplier (_ConstMul) whose form
+follows from two widths alone: the value width binru(max l), and the
+product width, which also holds the constants.  Single-bit values take an
+integer multiply and 2-bit values two bit images of the constant (a
+constant multiply is GF(2)-linear), so neither builds an index array.
+Products of up to 8 bits take one gather in the GF(2^8) table at a planned
+row offset, products of up to 16 bits the GF(2^16) logs with log t planned,
+and 32-bit products split the constant into 16-bit halves with four planned
+logs.  Only pointwise multiplies two variable arrays.
 
 Everything here assumes the GF(2)-input setting: coefficient vectors are
 uint8 lanes of 0/1, leaf values are uint64 lanes, and in between each depth
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _mul_vec, binru
+from .field import _BYTE_NP, _EXP16, _LOG16, _mul_vec, binru
 from .transform import FaftEngine, schedule
 
 __all__ = ["LayeredEngine"]
@@ -58,10 +64,8 @@ class _Layer:
     width: int  # bits of a value at this depth, binru(max l)
     dtype: np.dtype  # holds the values at this depth
     child_dtype: np.dtype  # holds the values one depth down
-    tw: np.ndarray  # (count, 1): twiddle s_{k-1}(alpha) per segment
-    tw_width: int  # product width of tw * value
-    c: np.ndarray  # (count, 1): tw, with v_l cleared on truncated rows
-    c_width: int  # product width of c * value
+    tw: _ConstMul  # times the twiddle s_{k-1}(alpha) of each segment
+    c: _ConstMul  # times tw, with v_l cleared on truncated rows
     shift: np.ndarray  # uint8 (count, 1): l on truncated rows, 0 elsewhere
     mask: np.ndarray  # child_dtype (count, 1): 2^l - 1 on truncated rows, ones elsewhere
 
@@ -85,13 +89,79 @@ def _narrow(t: np.ndarray) -> np.ndarray:
     return t.astype(np.min_scalar_type(int(t.max())))[:, None]
 
 
-def _scale(x: np.ndarray, t: np.ndarray, width: int, prod_width: int) -> np.ndarray:
-    """Row constants t times width-bit values x, products of prod_width bits."""
-    return x * t if width == 1 else _mul_vec(t, x, prod_width)
+def _logs(*ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """GF(2^16) discrete logs of per-row constants, as (count, 1) columns."""
+    return tuple(_LOG16.take(t)[:, None] for t in ts)
 
 
-def _product_width(t: np.ndarray, width: int) -> int:
-    return binru(max(int(t.max()).bit_length(), width))
+class _ConstMul:
+    """Products of per-row constants t with width-bit values, planned once.
+
+    The form follows from the value width and the product width alone:
+
+    - "int": single-bit values, one integer multiply;
+    - "bits": 2-bit values as two bit images, (x & 1) t ^ (x >> 1) (t v_1),
+      since a constant multiply is GF(2)-linear;
+    - "byte": products of at most 8 bits, one gather in the GF(2^8) table
+      at the planned row offset t << 8;
+    - "log": products of at most 16 bits, log t planned, one gather each
+      way through the GF(2^16) logs;
+    - "halves16"/"halves32": 32-bit products of 16-/32-bit values in 16-bit
+      halves t = c0 + c1 u (u = v_16, u^2 = u + zeta, zeta = v_15): the low
+      half is c0 x0 + (zeta c1) x1 and the high half (c0 + c1) x1 + c1 x0;
+    - "vec": 64-bit products (twiddles of m > 32), the vector field product.
+    """
+
+    def __init__(self, t: np.ndarray, width: int):
+        self.t = t
+        self.width = width
+        self.prod_width = pw = binru(max(int(t.max()).bit_length(), width))
+        if width == 1:
+            self.form, self.consts = "int", (_narrow(t),)
+        elif width == 2:
+            self.form, self.consts = "bits", (_narrow(t), _narrow(_mul_vec(t, _U(2), pw)))
+        elif pw <= 8:
+            self.form, self.consts = "byte", ((t << _U(8)).astype(np.intp)[:, None],)
+        elif pw <= 16:
+            self.form, self.consts = "log", _logs(t)
+        elif pw == 32:
+            c0, c1 = t & _U(0xFFFF), t >> _U(16)
+            self.form = "halves16" if width <= 16 else "halves32"
+            self.consts = _logs(c0, _mul_vec(_U(1 << 15), c1, 16), c0 ^ c1, c1)
+        else:
+            self.form, self.consts = "vec", (t[:, None],)
+        self._apply = getattr(_ConstMul, "_" + self.form)  # unbound: no reference cycle
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(self, x)
+
+    def _int(self, x):
+        return x * self.consts[0]
+
+    def _bits(self, x):
+        t0, t1 = self.consts
+        return ((x & 1) * t0) ^ ((x >> 1) * t1)
+
+    def _byte(self, x):
+        return _BYTE_NP.take(x + self.consts[0])
+
+    def _log(self, x):
+        return _EXP16.take(_LOG16.take(x) + self.consts[0])
+
+    def _halves16(self, x):
+        l0, _, _, l3 = self.consts
+        a = _LOG16.take(x)
+        return _EXP16.take(a + l0) | (_EXP16.take(a + l3).astype(np.uint32) << 16)
+
+    def _halves32(self, x):
+        l0, l1, l2, l3 = self.consts
+        a, b = _LOG16.take(x & 0xFFFF), _LOG16.take(x >> 16)
+        lo = _EXP16.take(a + l0) ^ _EXP16.take(b + l1)
+        hi = _EXP16.take(b + l2) ^ _EXP16.take(a + l3)
+        return lo | (hi.astype(np.uint32) << 16)
+
+    def _vec(self, x):
+        return _mul_vec(self.consts[0], x.astype(_U), self.prod_width)
 
 
 class LayeredEngine:
@@ -127,10 +197,8 @@ class LayeredEngine:
                     width=width,
                     dtype=_dtype(width),
                     child_dtype=child,
-                    tw=_narrow(seg.tw),
-                    tw_width=_product_width(seg.tw, width),
-                    c=_narrow(seg.c),
-                    c_width=_product_width(seg.c, width),
+                    tw=_ConstMul(seg.tw, width),
+                    c=_ConstMul(seg.c, width),
                     shift=np.where(trunc, seg.l, 0).astype(np.uint8)[:, None],
                     mask=np.where(trunc, (_U(1) << lu) - _U(1), ones).astype(child)[:, None],
                 )
@@ -159,7 +227,7 @@ class LayeredEngine:
             p0, p1 = src[:, :, 0], src[:, :, 1]
             buf = np.empty(src.shape, dtype=layer.child_dtype)
             q0 = buf[:, :, 0]
-            np.bitwise_xor(p0, _scale(p1, layer.tw, layer.width, layer.tw_width), out=q0)
+            np.bitwise_xor(p0, layer.tw(p1), out=q0)
             np.bitwise_xor(q0, p1, out=buf[:, :, 1])
             data = buf.reshape(len(buf), -1, h)
             if layer.rows is not None:
@@ -197,7 +265,7 @@ class LayeredEngine:
                 np.right_shift(q[:, :, 0], layer.shift, out=p1)
                 p1 ^= q[:, :, 1]
                 r0 = q[:, :, 0] & layer.mask
-            np.bitwise_xor(r0, _scale(p1, layer.c, layer.width, layer.c_width), out=out[:, :, 0])
+            np.bitwise_xor(r0, layer.c(p1), out=out[:, :, 0])
             data = out
         return data.reshape(batch + (-1,))
 

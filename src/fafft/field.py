@@ -85,9 +85,9 @@ def _mul_vec(a, b, w: int):
     if w == 1:
         return a & b
     if w <= 8:
-        return _BYTE_NP[np.bitwise_or(np.left_shift(a, 8, dtype=np.intp), b, dtype=np.intp)]
+        return _BYTE_NP.take(np.bitwise_or(np.left_shift(a, 8, dtype=np.intp), b, dtype=np.intp))
     if w <= 16:
-        return _EXP16[_LOG16[a] + _LOG16[b]]
+        return _EXP16.take(_LOG16.take(a) + _LOG16.take(b))
     h = w >> 1
     hm = (1 << h) - 1
     a0 = a & hm
@@ -298,7 +298,9 @@ def _build_log16():
 
     exp holds g^i for 0 <= i < 2q (q = 2^16 - 1), so the sum of two logs
     needs no reduction mod q, and zeros from 2q on; log[0] = 2q sends every
-    product with a zero factor into the zeros.
+    product with a zero factor into the zeros.  The logs are int32, so an
+    array of gathered logs takes half the bytes; a sum of two stays below
+    4q + 1.
     """
     f = CantorField(4)
     q = f.order - 1
@@ -317,7 +319,7 @@ def _build_log16():
         c = f.mul(c, c)
     exp = np.zeros(4 * q + 1, dtype=np.uint16)
     exp[:q] = exp[q : 2 * q] = pw[:q]
-    log = np.full(q + 1, 2 * q, dtype=np.int64)
+    log = np.full(q + 1, 2 * q, dtype=np.int32)
     log[pw[:q]] = np.arange(q)
     return log, exp
 

@@ -95,21 +95,23 @@ def _tables(m: int) -> _ByteTables:
     return _ByteTables(m)
 
 
+def _as_int(x, what: str) -> int:
+    """x as a Python int; TypeError for bool and non-integers."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} must be an int, not bool")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} must be an int, got {type(x).__name__}") from None
+
+
 def _check_operands(a, b) -> tuple[int, int]:
     """The operands as Python ints; TypeError unless integers, ValueError
     if negative."""
-    out = []
-    for x in (a, b):
-        if isinstance(x, bool):
-            raise TypeError("polynomial operands must be ints, not bool")
-        try:
-            x = operator.index(x)
-        except TypeError:
-            raise TypeError(f"polynomial operands must be ints, got {type(x).__name__}") from None
-        if x < 0:
-            raise ValueError("polynomial operands must be nonnegative ints")
-        out.append(x)
-    return out[0], out[1]
+    a, b = _as_int(a, "a polynomial operand"), _as_int(b, "a polynomial operand")
+    if a < 0 or b < 0:
+        raise ValueError("polynomial operands must be nonnegative ints")
+    return a, b
 
 
 def mul_schoolbook(a: int, b: int) -> int:
@@ -159,6 +161,7 @@ def mul_karatsuba(a: int, b: int) -> int:
 def mul_fafft(a: int, b: int, K: int = 6) -> int:
     """Transform pipeline multiplication over the tower of height K."""
     a, b = _check_operands(a, b)
+    K = _as_int(K, "tower height K")
     if not 1 <= K <= 6:
         raise ValueError(f"tower height K must be in 1..6, got {K}")
     if a == 0 or b == 0:

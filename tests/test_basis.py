@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fafft.basis import (
     ConvTally,
@@ -145,6 +147,27 @@ def test_packed_at_square_width_matches_rows():
         for j, r in enumerate(rows):
             assert plane(fwd, j) == to_novel(r, n)
             assert plane(back, j) == from_novel(r, n)
+
+
+def _vector(data, max_m: int) -> tuple[int, int]:
+    """A length-2^m vector, m <= max_m: all zeros, all ones, or random."""
+    n = 1 << data.draw(st.integers(0, max_m), label="m")
+    kind = data.draw(st.sampled_from(("zero", "ones", "random")), label="kind")
+    if kind == "zero":
+        return 0, n
+    if kind == "ones":
+        return (1 << n) - 1, n
+    return data.draw(st.integers(0, (1 << n) - 1), label="f"), n
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.data())
+def test_conversion_properties(data):
+    f, n = _vector(data, 10)
+    assert to_novel(f, n) == to_novel_by_division(f, n)
+    f, n = _vector(data, 16)
+    assert from_novel(to_novel(f, n), n) == f
+    assert to_novel(from_novel(f, n), n) == f
 
 
 def test_word_count_scaling():

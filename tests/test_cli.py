@@ -108,14 +108,15 @@ def test_bench_csv(capsys, tmp_path):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "method,log_bits,seconds_median"
+    assert lines[0] == "method,log_bits,seconds_median,peak_mib"
     assert len(lines) == 1 + 3 * 2
     methods = {ln.split(",")[0] for ln in lines[1:]}
     assert methods == {"fafft", "schoolbook", "karatsuba"}
     for ln in lines[1:]:
-        _, log_bits, sec = ln.split(",")
+        _, log_bits, sec, peak = ln.split(",")
         assert int(log_bits) in (8, 9)
         assert float(sec) >= 0
+        assert float(peak) > 0
     assert out_file.read_text() == out
 
 

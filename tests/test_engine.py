@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fafft.basis import to_novel
-from fafft.engine import LayeredEngine
+from fafft.engine import LayeredEngine, _ConstMul
+from fafft.field import _mul_vec
 from fafft.transform import FaftEngine, n_cross_section
 
 
@@ -28,24 +29,54 @@ def novel_lanes(rng, n):
 
 # Sizes of the differential tests.  m = 17 is the first size whose twiddle
 # products need 32 bits and m = 18 the first whose values do (state l = 17),
-# so this range reaches every product path of the engine (see
+# so this range reaches every multiplier form of the engine (see
 # test_differential_sizes_cover_every_path).
 DIFF_M = range(0, 19)
 
 
 def test_differential_sizes_cover_every_path(lay):
-    rows, value_widths, product_widths = set(), set(), set()
+    rows, forms = set(), set()
     for m in DIFF_M:
         for layer in lay.plan(m).layers:
             rows.add(layer.rows is None)
-            value_widths.add(layer.width)
-            product_widths.update((layer.tw_width, layer.c_width))
+            forms.update((layer.tw.form, layer.c.form))
     # depths where every row survives and depths that mix branch and
     # truncated rows
     assert rows == {True, False}
-    # single-bit values (integer multiply), byte-table, log-table and
-    # Karatsuba products
-    assert {1, 32} <= value_widths and {4, 8, 16, 32} <= product_widths
+    assert forms == {"int", "bits", "byte", "log", "halves16", "halves32"}
+
+
+def _check_const_mul(mul, rng):
+    """A planned multiplier against the vector field product, on random
+    in-range values, 0 and 2^width - 1 in every row."""
+    top = (1 << mul.width) - 1
+    x = rng.integers(0, top, (len(mul.t), 6), endpoint=True, dtype=np.uint64)
+    x[:, 0], x[:, 1] = 0, top
+    x = x.astype(f"uint{max(8, mul.width)}")
+    want = _mul_vec(mul.t[:, None], x.astype(np.uint64), mul.prod_width)
+    got = mul(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got.astype(np.uint64), want.astype(np.uint64))
+
+
+def test_planned_multipliers_match_field_product(lay):
+    rng = np.random.default_rng(56)
+    for m in range(0, 21):
+        for layer in lay.plan(m).layers:
+            for mul in (layer.tw, layer.c):
+                assert mul.width == layer.width
+                _check_const_mul(mul, rng)
+
+
+def test_wide_constants_take_the_vector_product():
+    # 64-bit twiddles appear only from m = 33 on, beyond any plan that fits
+    # in memory; the form still has to be right
+    rng = np.random.default_rng(57)
+    t = np.array([0, 1, 2**64 - 1, 0x8000_0000_0000_0001], dtype=np.uint64)
+    for width in (16, 32, 64):
+        mul = _ConstMul(t, width)
+        assert mul.form == "vec" and mul.prod_width == 64
+        _check_const_mul(mul, rng)
 
 
 def test_forward_matches_recursive(eng, lay):

@@ -238,3 +238,12 @@ def test_numpy_integer_operands(route):
         assert c == conv_naive(int(a), int(b))
     big = np.uint64(2**64 - 1)
     assert route(big, big) == conv_naive(2**64 - 1, 2**64 - 1)
+
+
+def test_tower_height_must_be_an_integer():
+    for bad in (True, False, 2.5, 6.0, "6", None):
+        with pytest.raises(TypeError, match="K"):
+            mul_fafft(3, 3, bad)
+    assert mul_fafft(3, 3, np.int64(6)) == mul_fafft(3, 3, np.uint8(1)) == 5
+    with pytest.raises(ValueError):
+        mul_fafft(3, 3, np.int64(7))
