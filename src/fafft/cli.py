@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .basis import from_novel, to_novel, to_novel_by_division
 from .circuit import gen_mul_circuit, parse_slp, verify_slp
+from .field import CantorField
 from .mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
 from .transform import FaftEngine
 
@@ -50,9 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "additive FFT, inspect its evaluations, and emit AND/XOR circuits.",
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed for bench/verify/selftest")
-    p.add_argument(
-        "--k", type=int, choices=range(1, 7), default=6, help="field tower height, GF(2^(2^k))"
-    )
     sub = p.add_subparsers(dest="cmd", required=True)
 
     q = sub.add_parser("mul", help="multiply two polynomials")
@@ -92,20 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mul(args) -> int:
-    if args.method == "fafft":
-        try:
-            c = mul_fafft(args.a, args.b, args.k)
-        except ValueError as e:  # the product needs more points than the field has
-            print(e, file=sys.stderr)
-            return 2
-    else:
-        c = mul(args.a, args.b, args.method)
-    print(format(c, "x"))
+    print(format(mul(args.a, args.b, args.method), "x"))
     return 0
 
 
 def _cmd_faft(args) -> int:
-    eng = FaftEngine(args.k)
+    eng = FaftEngine(6)
     if args.m < 0 or args.m > eng.field.d:
         print(f"m must be in 0..{eng.field.d}", file=sys.stderr)
         return 2
@@ -129,12 +119,9 @@ def _cmd_bench(args) -> int:
     if args.min_log > args.max_log or args.min_log < 4:
         print("need 4 <= min-log <= max-log", file=sys.stderr)
         return 2
-    if args.max_log > 1 << args.k:
-        print(f"max-log must be at most 2^k = {1 << args.k}", file=sys.stderr)
-        return 2
     rng = random.Random(args.seed)
     methods = (
-        ("fafft", lambda a, b: mul_fafft(a, b, args.k)),
+        ("fafft", mul_fafft),
         ("schoolbook", mul_schoolbook),
         ("karatsuba", mul_karatsuba),
     )
@@ -168,10 +155,6 @@ def _cmd_gen_circuit(args) -> int:
     if args.n < 1:
         print("need n >= 1", file=sys.stderr)
         return 2
-    m = (2 * args.n - 2).bit_length()  # the 2n - 1 product bits need 2^m points
-    if m > 1 << args.k:
-        print(f"product needs 2^{m} points, above the field size 2^{1 << args.k}", file=sys.stderr)
-        return 2
     c = gen_mul_circuit(args.n, cse=not args.no_cse)
     print(f"and={c.and_count} xor={c.xor_count} total={c.and_count + c.xor_count}")
     if args.out is not None:
@@ -198,8 +181,7 @@ def _cmd_verify_circuit(args) -> int:
 
 def _cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
-    eng = FaftEngine(args.k)
-    f = eng.field
+    eng = FaftEngine(6)
 
     def check(name, cond):
         if not cond:
@@ -209,20 +191,23 @@ def _cmd_selftest(args) -> int:
         return True
 
     ok = True
-    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(100)]
-    ok &= check("field-commutative", all(f.mul(a, b) == f.mul(b, a) for a, b in pairs))
-    ok &= check(
-        "field-frobenius", all(f.frobenius(a) == f.mul(a, a) for a, _ in pairs)
-    )
-    ok &= check(
-        "field-inverse",
-        all(f.mul(a, f.inverse(a)) == 1 for a, _ in pairs if a),
-    )
+    for K in range(1, 7):  # commutativity, Frobenius and inverses at every height
+        f = CantorField(K)
+        pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(100)]
+        ok &= check(
+            f"field-K{K}",
+            all(
+                f.mul(a, b) == f.mul(b, a)
+                and f.frobenius(a) == f.mul(a, a)
+                and (a == 0 or f.mul(a, f.inverse(a)) == 1)
+                for a, b in pairs
+            ),
+        )
     g = rng.getrandbits(1024)
     ok &= check("basis-roundtrip", from_novel(to_novel(g, 1024), 1024) == g)
     h = rng.getrandbits(64)
     ok &= check("basis-oracle", to_novel(h, 64) == to_novel_by_division(h, 64))
-    m = min(6, f.d)  # 2^m points must fit in the field
+    m = 6
     p = rng.getrandbits(1 << m)
     res = eng.faft(p, m)
     full = eng.expand_to_full_aft(m, res.values)

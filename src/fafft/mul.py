@@ -34,7 +34,6 @@ __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
 
-# One engine for every tower height: the tower is nested, so K only bounds m.
 _LAYERED = LayeredEngine(FaftEngine(6))
 
 
@@ -158,18 +157,14 @@ def mul_karatsuba(a: int, b: int) -> int:
     return z0 ^ (z1 << h) ^ (z2 << (2 * h))
 
 
-def mul_fafft(a: int, b: int, K: int = 6) -> int:
-    """Transform pipeline multiplication over the tower of height K."""
+def mul_fafft(a: int, b: int) -> int:
+    """Transform pipeline multiplication over GF(2^64), whose 2^64 points
+    bound the product size."""
     a, b = _check_operands(a, b)
-    K = _as_int(K, "tower height K")
-    if not 1 <= K <= 6:
-        raise ValueError(f"tower height K must be in 1..6, got {K}")
     if a == 0 or b == 0:
         return 0
     need = a.bit_length() + b.bit_length() - 1
     m = (need - 1).bit_length()
-    if m > 1 << K:
-        raise ValueError(f"product needs 2^{m} points, above the field size 2^{1 << K}")
     if _LAYERED.plan(m).leaf_width <= 8:
         t = _tables(m)
         va, vb = t.leaves(a, b)

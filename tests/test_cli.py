@@ -28,23 +28,6 @@ def test_mul_methods_agree(capsys):
     assert len(outs) == 1
 
 
-def test_k_limits_fafft_sizes(capsys):
-    # K = 1: GF(4) has 4 points, enough for a product of up to 4 bits
-    code, out = run(capsys, "--k", "1", "mul", "--a", "3", "--b", "3")
-    assert (code, out.strip()) == (0, "5")
-    code, out = run(capsys, "--k", "1", "mul", "--a", "f", "--b", "f")
-    assert (code, out) == (2, "")
-    code, out = run(capsys, "--k", "1", "mul", "--a", "f", "--b", "f", "--method", "karatsuba")
-    assert (code, out.strip()) == (0, "55")
-    code, out = run(capsys, "--k", "2", "bench", "--min-log", "4", "--max-log", "5")
-    assert (code, out) == (2, "")
-    # n = 2 has a 3-bit product, which fits GF(4); n = 3 has a 5-bit one
-    code, out = run(capsys, "--k", "1", "gen-circuit", "--n", "2")
-    assert code == 0 and out.startswith("and=")
-    code, out = run(capsys, "--k", "1", "gen-circuit", "--n", "3")
-    assert (code, out) == (2, "")
-
-
 def test_mul_zero(capsys):
     code, out = run(capsys, "mul", "--a", "0", "--b", "ff")
     assert code == 0
@@ -182,10 +165,11 @@ def test_verify_circuit_rejects_negative_trials(capsys, tmp_path):
 
 
 def test_selftest(capsys):
-    for argv in (["selftest"], ["--k", "1", "selftest"]):
-        code, out = run(capsys, *argv)
-        assert code == 0
-        assert "selftest ok" in out
+    code, out = run(capsys, "selftest")
+    assert code == 0
+    assert "selftest ok" in out
+    for K in range(1, 7):  # the field axioms at every tower height
+        assert f"check field-K{K} ok" in out.splitlines()
 
 
 def test_usage_errors():
@@ -200,8 +184,7 @@ def test_usage_errors():
     assert e.value.code == 2
     for argv in (
         ["mul", "--a", "1", "--b", "1", "--method", "fft"],
-        ["--k", "7", "faft", "--poly", "1", "--m", "2"],
-        ["--k", "0", "selftest"],
+        ["--k", "6", "selftest"],  # the field is GF(2^64) at every size
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
