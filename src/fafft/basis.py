@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .field import _as_int
 from .subspace import subspace_coeffs
 
 __all__ = [
@@ -95,39 +96,42 @@ def _radix_inv(f: int, high: int, d: int) -> int:
 def to_novel(f: int, n: int, tally: ConvTally | None = None) -> int:
     """Convert a GF(2)[x] coefficient vector (bit i = coeff of x^i) of
     length n to the subspace-product basis."""
-    m = _check_packed(f, n, 1)
-    return _convert(f, n, m, 1, tally, forward=True)
+    return _convert(f, n, 1, tally, forward=True)
 
 
 def from_novel(g: int, n: int, tally: ConvTally | None = None) -> int:
     """Inverse of to_novel."""
-    m = _check_packed(g, n, 1)
-    return _convert(g, n, m, 1, tally, forward=False)
+    return _convert(g, n, 1, tally, forward=False)
 
 
 def to_novel_packed(f: int, n: int, w: int, tally: ConvTally | None = None) -> int:
     """to_novel for a vector of n field coordinates packed w bits per slot."""
-    m = _check_packed(f, n, w)
-    return _convert(f, n * w, m, w, tally, forward=True)
+    return _convert(f, n, w, tally, forward=True)
 
 
 def from_novel_packed(g: int, n: int, w: int, tally: ConvTally | None = None) -> int:
     """Inverse of to_novel_packed."""
-    m = _check_packed(g, n, w)
-    return _convert(g, n * w, m, w, tally, forward=False)
+    return _convert(g, n, w, tally, forward=False)
 
 
-def _check_packed(f: int, n: int, w: int) -> int:
+def _check_packed(f: int, n: int, w: int) -> tuple[int, int, int]:
+    """f, n and w as Python ints; TypeError unless integers, ValueError
+    unless n is a power of two and f fits n slots of w bits."""
+    f, n = _as_int(f, "a coefficient vector"), _as_int(n, "the vector length")
+    w = _as_int(w, "the slot width")
     if n < 1 or n & (n - 1):
         raise ValueError(f"vector length {n} is not a power of two")
     if f < 0 or f.bit_length() > n * w:
         raise ValueError("coefficient vector overflows the stated length")
-    return (n - 1).bit_length()
+    return f, n, w
 
 
-def _convert(f: int, total: int, m: int, w: int, tally, forward: bool) -> int:
-    """Apply the conversion to every 2^m-slot block of the total-bit int f:
-    the levels in order, or their inverses in reverse order."""
+def _convert(f: int, n: int, w: int, tally, forward: bool) -> int:
+    """Convert the vector f of n slots of w bits: the levels of
+    _levels(lg n) in order, or their inverses in reverse order."""
+    f, n, w = _check_packed(f, n, w)
+    m = (n - 1).bit_length()
+    total = n * w
     for mu, k, s in _levels(m) if forward else reversed(_levels(m)):
         hb = w << s << (mu - 1)
         d = hb - (w << s << (mu - 1 - k))
@@ -140,7 +144,7 @@ def _convert(f: int, total: int, m: int, w: int, tally, forward: bool) -> int:
 
 def to_novel_by_division(f: int, n: int) -> int:
     """Quadratic reference conversion by long division with the full s_k."""
-    _check_packed(f, n, 1)
+    f, n, _ = _check_packed(f, n, 1)
 
     def rec(g: int, length: int) -> int:
         if length <= 2:

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .basis import _levels
-from .field import CantorField
+from .field import CantorField, _as_int
 from .transform import schedule
 
 __all__ = [
@@ -329,6 +329,7 @@ def _dead_code_sweep(n: int, gates, outputs):
 
 def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
     """Circuit multiplying two n-bit GF(2)[x] polynomials (2n-1 outputs)."""
+    n = _as_int(n, "operand bit count n")
     if n < 1:
         raise ValueError("operand bit count must be >= 1")
     need = 2 * n - 1
@@ -360,22 +361,33 @@ def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
 # ----- text form, evaluation, verification -------------------------------
 
 
+def _decimal(s: str) -> int:
+    """s as an int; ValueError unless it is all ASCII decimal digits (int()
+    would also take signs, underscores and other scripts' digits)."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"{s!r} is not a decimal number")
+    return int(s)
+
+
 def parse_slp(text: str) -> Circuit:
     """Circuit from its SLP text.  Every line may read only wires defined
     above it; anything malformed raises ValueError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split()[0] != "SLP":
         raise ValueError("missing SLP header")
-    fields = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
+    pairs = [kv.split("=", 1) for kv in lines[0].split()[1:]]
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        raise ValueError("header repeats a field")
     missing = {"n", "and", "xor"} - fields.keys()
     if missing:
         raise ValueError(f"header lacks {', '.join(sorted(missing))}")
-    n = int(fields["n"])
+    n = _decimal(fields["n"])
     if not 1 <= 2 * n <= len(lines):  # one line per output bit follows the header
         raise ValueError(f"operand bit count n={n} outside 1..{len(lines) // 2}")
 
     def index(tok: str, bound: int) -> int:
-        idx = int(tok[1:])
+        idx = _decimal(tok[1:])
         if not 0 <= idx < bound:
             raise ValueError(f"{tok!r} outside 0..{bound - 1}")
         return idx
@@ -399,7 +411,7 @@ def parse_slp(text: str) -> Circuit:
         lhs = lhs.strip()
         parts = rhs.split()
         if lhs.startswith("t"):
-            if int(lhs[1:]) != len(gates):
+            if _decimal(lhs[1:]) != len(gates):
                 raise ValueError(f"gate {lhs} out of order")
             op, x, y = parts
             if op not in ("AND", "XOR"):
@@ -416,7 +428,7 @@ def parse_slp(text: str) -> Circuit:
         raise ValueError("missing output bindings")
     circ = Circuit(n, gates, outputs)  # type: ignore[arg-type]
     counts = (circ.and_count, circ.xor_count)
-    declared = (int(fields["and"]), int(fields["xor"]))
+    declared = (_decimal(fields["and"]), _decimal(fields["xor"]))
     if counts != declared:
         raise ValueError(f"header counts {declared} != actual {counts}")
     return circ

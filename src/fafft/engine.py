@@ -165,7 +165,12 @@ class _ConstMul:
 
 
 class LayeredEngine:
-    """Array-batched pruned transform; the FaftEngine's field bounds m."""
+    """Array-batched pruned transform of schedule(m).
+
+    The twiddles are the same in every field of the nested tower, so the
+    FaftEngine's field only bounds the size: plan raises ValueError unless
+    2^m points fit in it (m <= 64 in GF(2^64)).
+    """
 
     def __init__(self, eng: FaftEngine):
         self.eng = eng
@@ -242,14 +247,9 @@ class LayeredEngine:
         value must lie in its orbit subfield (below 2^width).
         """
         p = self.plan(m)
-        data = np.asarray(leaves)
-        n = len(p.leaf_max)
-        if data.shape[-1:] != (n,):
-            raise ValueError(f"expected {n} leaves for m={m}, got shape {data.shape}")
-        if data.dtype.kind != "u" or np.any(data > p.leaf_max):
-            raise ValueError("leaf values outside their orbit subfields")
+        data = _leaves(leaves, p)
         batch = data.shape[:-1]
-        data = data.reshape(-1, n).astype(_dtype(p.leaf_width), copy=False)
+        data = data.reshape(-1, len(p.leaf_max)).astype(_dtype(p.leaf_width), copy=False)
         for layer in reversed(p.layers):
             h = layer.length >> 1
             shape = (len(data), layer.count, 2, h)
@@ -270,11 +270,10 @@ class LayeredEngine:
         return data.reshape(batch + (-1,))
 
     def pointwise(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-        """Lane-by-lane field product of two leaf vectors (uint64)."""
+        """Lane-by-lane field product of two leaf vectors (uint64).  Each
+        leaf value must lie in its orbit subfield, as in inverse."""
         p = self.plan(m)
-        if np.shape(a)[-1:] != p.leaf_max.shape or np.shape(b)[-1:] != p.leaf_max.shape:
-            raise ValueError(f"expected {len(p.leaf_max)} leaves, got {np.shape(a)}, {np.shape(b)}")
-        return _mul_vec(a, b, p.leaf_width).astype(_U, copy=False)
+        return _mul_vec(_leaves(a, p), _leaves(b, p), p.leaf_width).astype(_U, copy=False)
 
     # ----- packing helpers ----------------------------------------------
 
@@ -289,6 +288,20 @@ class LayeredEngine:
         """Pack 0/1 lanes back into a coefficient int."""
         lanes = _coeff_lanes(lanes)
         return int.from_bytes(np.packbits(lanes, bitorder="little").tobytes(), "little")
+
+
+def _leaves(x, p: _Plan) -> np.ndarray:
+    """x as an array of leaf vectors of plan p; ValueError unless it has
+    one unsigned value per leaf, each in its orbit subfield."""
+    a = np.asarray(x)
+    n = len(p.leaf_max)
+    if a.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} leaves for m={p.m}, got shape {a.shape}")
+    if a.dtype.kind != "u":
+        raise ValueError(f"leaf values must be unsigned integers, got dtype {a.dtype}")
+    if np.any(a > p.leaf_max):
+        raise ValueError("leaf values outside their orbit subfields")
+    return a
 
 
 def _coeff_lanes(x) -> np.ndarray:

@@ -27,9 +27,21 @@ discrete logs over GF(2^16) up to 16 bits, Karatsuba halves above.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["CantorField", "binru", "binrd"]
+
+
+def _as_int(x, what: str) -> int:
+    """x as a Python int; TypeError for bool and non-integers."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} must be an int, not bool")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} must be an int, got {type(x).__name__}") from None
 
 
 def binru(x: int) -> int:
@@ -177,6 +189,7 @@ class CantorField:
     """GF(2^(2^K)) with elements as coordinate ints, 1 <= K <= 6."""
 
     def __init__(self, K: int = 6):
+        K = _as_int(K, "tower height K")
         if not 1 <= K <= 6:
             raise ValueError(f"tower height K must be in 1..6, got {K}")
         self.K = K

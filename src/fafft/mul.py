@@ -6,7 +6,10 @@ convert both operands to the subspace-product basis at the smallest
 power-of-two length covering the product, evaluate with the pruned
 transform, multiply leaf values lane by lane, invert, convert back.  The
 pruned leaf set is closed under lane products because each lane's values
-stay in that leaf's orbit subfield.
+stay in that leaf's orbit subfield.  The transform runs over GF(2^64), the
+top of Cantor's nested tower: a smaller field would give the same twiddles
+and products, so one engine serves every size, and only the 2^64 points of
+GF(2^64) bound the product.
 
 Both halves of the pipeline around the lane products are GF(2)-linear.
 Where every leaf of the plan fits one byte (products of at most 2^8 bits),
@@ -19,14 +22,13 @@ vectors, so the transform itself is written down only in the engine.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import from_novel, from_novel_packed, to_novel, to_novel_packed
 from .engine import LayeredEngine
-from .field import _span
+from .field import _as_int, _mul_vec, _span
 from .transform import FaftEngine
 
 __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
@@ -94,16 +96,6 @@ def _tables(m: int) -> _ByteTables:
     return _ByteTables(m)
 
 
-def _as_int(x, what: str) -> int:
-    """x as a Python int; TypeError for bool and non-integers."""
-    if isinstance(x, bool):
-        raise TypeError(f"{what} must be an int, not bool")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise TypeError(f"{what} must be an int, got {type(x).__name__}") from None
-
-
 def _check_operands(a, b) -> tuple[int, int]:
     """The operands as Python ints; TypeError unless integers, ValueError
     if negative."""
@@ -158,22 +150,28 @@ def mul_karatsuba(a: int, b: int) -> int:
 
 
 def mul_fafft(a: int, b: int) -> int:
-    """Transform pipeline multiplication over GF(2^64), whose 2^64 points
-    bound the product size."""
+    """Transform pipeline multiplication over GF(2^64).
+
+    Any product size works up to 2^64 bits, the points of the field; the
+    engine's plan raises ValueError past that.
+    """
     a, b = _check_operands(a, b)
     if a == 0 or b == 0:
         return 0
     need = a.bit_length() + b.bit_length() - 1
     m = (need - 1).bit_length()
-    if _LAYERED.plan(m).leaf_width <= 8:
+    # The leaves below come from the forward transform, so they lie in their
+    # orbit subfields; they skip pointwise's check of that.
+    w = _LAYERED.plan(m).leaf_width
+    if w <= 8:
         t = _tables(m)
         va, vb = t.leaves(a, b)
-        c = t.product(_LAYERED.pointwise(va, vb, m))
+        c = t.product(_mul_vec(va, vb, w))
     else:
         n = 1 << m
         lanes = np.stack([_LAYERED.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
         va, vb = _LAYERED.forward(lanes, m)
-        vc = _LAYERED.pointwise(va, vb, m)
+        vc = _mul_vec(va, vb, w)
         c = from_novel(_LAYERED.lanes_to_bits(_LAYERED.inverse(vc, m)), n)
     if c.bit_length() > need:
         raise RuntimeError(f"product has {c.bit_length()} bits, operands allow {need}")

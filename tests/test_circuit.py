@@ -1,8 +1,11 @@
 """Circuit generation, serialization, and verification."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fafft.circuit import (
     Circuit,
@@ -171,10 +174,65 @@ def test_parse_rejects_malformed():
         rebind_c0(f"t{n_gates}"),  # past the last gate
         good + "c0 = ZERO\n",  # bound twice
         "SLP n=1 and=0 xor=0\nc0 =\n",
+        # indices and counts are ASCII decimal digits only; int() alone
+        # would read each of these as a number
+        rebind_c0("a0_0"),
+        rebind_c0("a\u0660"),  # ARABIC-INDIC DIGIT ZERO
+        rebind_c0("a+1"),
+        good.replace("t0 = ", "t+0 = ", 1),
+        good.replace("c0 = ", "c-0 = ", 1),
+        "SLP n=+1 and=0 xor=0\nc0 = ZERO\n",
+        "SLP n=1 and=-0 xor=0\nc0 = ZERO\n",
+        "SLP n=1 and=0 xor=0_0\nc0 = ZERO\n",
+        "SLP n=1 and=-1 xor=0 and=0\nc0 = ZERO\n",  # a field given twice
     ):
         with pytest.raises(ValueError):
             parse_slp(text)
     assert parse_slp(rebind_c0("a1")).outputs[0] == 2
+    assert parse_slp("SLP n=1 and=0 xor=0\nc0 = ZERO\n").outputs == [0]
+
+
+# Mutations of valid SLP texts: single characters, including signs,
+# underscores, non-ASCII digits and a NUL, and whole tokens, some of them
+# indices that int() would read as numbers.
+_SLP_TEXTS = [gen_mul_circuit(n).to_slp() for n in (1, 2, 3)]
+_CHARS = "0123456789abctxnd=AXORZS -+_\n\t\u0660\u00b2\x00"
+_TOKENS = ["AND", "XOR", "ZERO", "SLP", "=", "a0", "b1", "t0", "t99", "c0", "c9", "n=2",
+           "and=3", "xor=-1", "+1", "a+0", "b0_0", "t\u0660", "c+1", "\n"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_mutated_slp_raises_only_value_error(data):
+    text = data.draw(st.sampled_from(_SLP_TEXTS))
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        if data.draw(st.booleans(), label="by token"):
+            parts = re.split(r"(\s+)", text)  # tokens at even indices
+            i = 2 * data.draw(st.integers(0, len(parts) // 2))
+            new = "" if kind == "delete" else data.draw(st.sampled_from(_TOKENS))
+            parts[i] = new + " " + parts[i] if kind == "insert" else new
+            text = "".join(parts)
+        else:
+            i = data.draw(st.integers(0, len(text)))
+            new = "" if kind == "delete" else data.draw(st.sampled_from(_CHARS))
+            text = text[:i] + new + text[i + (kind != "insert") :]
+    try:
+        circ = parse_slp(text)
+    except ValueError:
+        return
+    # whatever parses is a well-formed circuit: it survives its own text
+    # form, and its text spells every index and count in ASCII digits
+    again = parse_slp(circ.to_slp())
+    assert (again.n, again.gates, again.outputs) == (circ.n, circ.gates, circ.outputs)
+    head, *body = [ln for ln in text.splitlines() if ln.strip()]
+    for kv in head.split()[1:]:
+        key, value = kv.split("=", 1)
+        assert key not in ("n", "and", "xor") or re.fullmatch("[0-9]+", value)
+    for ln in body:
+        lhs, rhs = ln.split("=", 1)
+        assert re.fullmatch("[tc][0-9]+", lhs.strip())
+        assert all(re.fullmatch("AND|XOR|ZERO|[abt][0-9]+", tok) for tok in rhs.split())
 
 
 def test_verify_catches_mutation():

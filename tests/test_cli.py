@@ -184,7 +184,7 @@ def test_usage_errors():
     assert e.value.code == 2
     for argv in (
         ["mul", "--a", "1", "--b", "1", "--method", "fft"],
-        ["--k", "6", "selftest"],  # the field is GF(2^64) at every size
+        ["--k", "6", "selftest"],  # no field option: GF(2^64) serves every size
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)

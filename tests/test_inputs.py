@@ -1,0 +1,74 @@
+"""Bad input at the public entry points: TypeError where an int is due and
+something else arrives, ValueError for values outside their domain.  The
+multiplication routes have their own table in test_mul."""
+
+import numpy as np
+import pytest
+
+from fafft import (
+    CantorField,
+    FaftEngine,
+    LayeredEngine,
+    from_novel,
+    from_novel_packed,
+    gen_mul_circuit,
+    to_novel,
+    to_novel_by_division,
+    to_novel_packed,
+)
+
+LAY = LayeredEngine(FaftEngine(6))
+
+
+def leaves(m, value=0, dtype=np.uint64):
+    """A leaf vector of size m whose first leaf holds value."""
+    x = np.zeros(len(LAY.plan(m).leaf_max), dtype=dtype)
+    x[0] = value
+    return x
+
+
+def pointwise(m, value, dtype=np.uint64):
+    """A call of pointwise at size m on leaves(m, value, dtype) and zeros."""
+    return lambda: LAY.pointwise(leaves(m, value, dtype), leaves(m), m)
+
+
+BAD = {
+    "circuit n bool": (lambda: gen_mul_circuit(True), TypeError, "bool"),
+    "circuit n float": (lambda: gen_mul_circuit(1.5), TypeError, "float"),
+    "circuit n str": (lambda: gen_mul_circuit("3"), TypeError, "str"),
+    "to_novel bool": (lambda: to_novel(True, 4), TypeError, "bool"),
+    "to_novel float": (lambda: to_novel(1.0, 4), TypeError, "float"),
+    "to_novel length": (lambda: to_novel(1, 4.0), TypeError, "length"),
+    "from_novel bool": (lambda: from_novel(1, True), TypeError, "bool"),
+    "packed width": (lambda: to_novel_packed(1, 4, 1.5), TypeError, "width"),
+    "packed length": (lambda: from_novel_packed(1, np.float64(4), 2), TypeError, "float64"),
+    "division float": (lambda: to_novel_by_division(1.0, 4), TypeError, "float"),
+    "field height bool": (lambda: CantorField(True), TypeError, "bool"),
+    "field height float": (lambda: CantorField(6.0), TypeError, "float"),
+    # a leaf above its orbit subfield: GF(2^16) logs at m = 9, the byte
+    # table at m = 6
+    "pointwise 2^20 at m=9": (pointwise(9, 1 << 20), ValueError, "subfield"),
+    "pointwise 300 at m=6": (pointwise(6, 300), ValueError, "subfield"),
+    "pointwise signed": (pointwise(9, -1, np.int64), ValueError, "unsigned"),
+    "pointwise float": (pointwise(9, 1, np.float64), ValueError, "unsigned"),
+    "pointwise bool": (pointwise(3, True, bool), ValueError, "unsigned"),
+    "inverse signed": (lambda: LAY.inverse(leaves(9, 0, np.int64), 9), ValueError, "unsigned"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD))
+def test_bad_input_raises(case):
+    call, exc, match = BAD[case]
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_integer_likes_accepted():
+    # numpy integers stand in for ints, and come back as Python ints
+    assert to_novel(np.int64(5), np.uint8(4)) == to_novel(5, 4)
+    assert from_novel_packed(np.uint64(6), np.int32(2), 2) == from_novel_packed(6, 2, 2)
+    n = gen_mul_circuit(np.int64(2)).n
+    assert n == 2 and type(n) is int
+    assert CantorField(np.int64(6)).order == 1 << 64
+    top = LAY.plan(9).leaf_max.astype(np.uint16)  # every leaf at its largest value
+    assert LAY.pointwise(top, top, 9).dtype == np.uint64
