@@ -12,26 +12,22 @@ Layering, bottom up:
   twiddle constants they induce.
 - ``basis``: change of basis between monomial and subspace-product
   coefficients, packed over machine words.
-- ``transform``: ``schedule(m)``, the pruned tree and its twiddles written
-  out once per depth for every tower height, which cross sections,
-  operation counts, ``engine`` and ``circuit`` all read; and the recursive
-  reference transforms that the tests compare against.
+- ``transform``: ``schedule(m)``, the pruned tree written out once per
+  depth for every tower height, which cross sections, operation counts,
+  ``engine`` and ``circuit`` all read, and ``twiddles(m)``, its twiddles
+  per depth, which only ``engine`` and ``circuit`` read.
 - ``engine``: the vectorised evaluator that runs the schedule depth by
   depth for bulk multiplication.
 - ``mul``: carryless multiplication entry points and baselines.
 - ``circuit``: straight-line program generation (the schedule and the
   basis conversion levels run on wires), parsing, evaluation, and
   verification.
+
+``reference`` holds the tests' oracle, the recursive transforms and the
+quadratic basis conversion; no module above imports it.
 """
 
-from .basis import (
-    ConvTally,
-    from_novel,
-    from_novel_packed,
-    to_novel,
-    to_novel_by_division,
-    to_novel_packed,
-)
+from .basis import from_novel, to_novel
 from .circuit import (
     Circuit,
     VerifyReport,
@@ -44,21 +40,14 @@ from .engine import LayeredEngine
 from .field import CantorField, binrd, binru
 from .mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
 from .subspace import SubspaceCoeffs, TwiddleTable, eval_subspace, subspace_coeffs
-from .transform import (
-    CrossSectionPoint,
-    FaftEngine,
-    FaftResult,
-    OpCounters,
-    count_ops,
-    n_cross_section,
-)
+from .reference import FaftEngine, FaftResult
+from .transform import CrossSectionPoint, OpCounters, count_ops, n_cross_section
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CantorField",
     "Circuit",
-    "ConvTally",
     "CrossSectionPoint",
     "FaftEngine",
     "FaftResult",
@@ -73,7 +62,6 @@ __all__ = [
     "eval_slp",
     "eval_subspace",
     "from_novel",
-    "from_novel_packed",
     "gen_mul_circuit",
     "mul",
     "mul_fafft",
@@ -83,8 +71,6 @@ __all__ = [
     "parse_slp",
     "subspace_coeffs",
     "to_novel",
-    "to_novel_by_division",
-    "to_novel_packed",
     "verify_slp",
     "__version__",
 ]

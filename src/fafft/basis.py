@@ -19,8 +19,8 @@ most twice before the remainder settles, and because the fold is oblivious
 to the data it runs on every block of the packed vector simultaneously
 under a periodic mask.  No per-block Python loop survives.
 
-to_novel_by_division is the straightforward quadratic rewrite (long
-division by the full s_k) retained as an independent cross-check.
+reference.to_novel_by_division is the straightforward quadratic rewrite
+(long division by the full s_k), kept as the tests' cross-check.
 """
 
 from __future__ import annotations
@@ -28,25 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .field import _as_int
-from .subspace import subspace_coeffs
 
-__all__ = [
-    "to_novel",
-    "from_novel",
-    "to_novel_packed",
-    "from_novel_packed",
-    "to_novel_by_division",
-    "ConvTally",
-]
-
-
-class ConvTally:
-    """Rough word-operation counter for scaling assertions."""
-
-    __slots__ = ("words",)
-
-    def __init__(self):
-        self.words = 0
+__all__ = ["to_novel", "from_novel"]
 
 
 @lru_cache(maxsize=256)
@@ -93,25 +76,16 @@ def _radix_inv(f: int, high: int, d: int) -> int:
     return f ^ ((f & high) >> d)
 
 
-def to_novel(f: int, n: int, tally: ConvTally | None = None) -> int:
-    """Convert a GF(2)[x] coefficient vector (bit i = coeff of x^i) of
-    length n to the subspace-product basis."""
-    return _convert(f, n, 1, tally, forward=True)
+def to_novel(f: int, n: int, w: int = 1) -> int:
+    """Convert a coefficient vector of length n, packed w bits per slot, to
+    the subspace-product basis; at w = 1 a GF(2)[x] polynomial, bit i the
+    coeff of x^i."""
+    return _convert(f, n, w, forward=True)
 
 
-def from_novel(g: int, n: int, tally: ConvTally | None = None) -> int:
+def from_novel(g: int, n: int, w: int = 1) -> int:
     """Inverse of to_novel."""
-    return _convert(g, n, 1, tally, forward=False)
-
-
-def to_novel_packed(f: int, n: int, w: int, tally: ConvTally | None = None) -> int:
-    """to_novel for a vector of n field coordinates packed w bits per slot."""
-    return _convert(f, n, w, tally, forward=True)
-
-
-def from_novel_packed(g: int, n: int, w: int, tally: ConvTally | None = None) -> int:
-    """Inverse of to_novel_packed."""
-    return _convert(g, n, w, tally, forward=False)
+    return _convert(g, n, w, forward=False)
 
 
 def _check_packed(f: int, n: int, w: int) -> tuple[int, int, int]:
@@ -126,7 +100,7 @@ def _check_packed(f: int, n: int, w: int) -> tuple[int, int, int]:
     return f, n, w
 
 
-def _convert(f: int, n: int, w: int, tally, forward: bool) -> int:
+def _convert(f: int, n: int, w: int, forward: bool) -> int:
     """Convert the vector f of n slots of w bits: the levels of
     _levels(lg n) in order, or their inverses in reverse order."""
     f, n, w = _check_packed(f, n, w)
@@ -137,35 +111,5 @@ def _convert(f: int, n: int, w: int, tally, forward: bool) -> int:
         d = hb - (w << s << (mu - 1 - k))
         high = _high_mask(total, 2 * hb)
         f = _radix_fwd(f, high, d) if forward else _radix_inv(f, high, d)
-        if tally is not None:
-            tally.words += (8 if forward else 3) * ((total >> 6) + 1)
     return f
 
-
-def to_novel_by_division(f: int, n: int) -> int:
-    """Quadratic reference conversion by long division with the full s_k."""
-    f, n, _ = _check_packed(f, n, 1)
-
-    def rec(g: int, length: int) -> int:
-        if length <= 2:
-            return g
-        half = length >> 1
-        k = half.bit_length() - 1
-        s = 0
-        bits = subspace_coeffs(k).bits
-        i = 0
-        while bits:
-            if bits & 1:
-                s |= 1 << (1 << i)
-            bits >>= 1
-            i += 1
-        degs = 1 << k
-        q = 0
-        r = g
-        while r.bit_length() > degs:
-            sh = r.bit_length() - 1 - degs
-            q |= 1 << sh
-            r ^= s << sh
-        return rec(r, half) | (rec(q, half) << half)
-
-    return rec(f, n)

@@ -6,7 +6,7 @@ conversion and butterfly stages become XOR networks, and each cross-section
 lane gets one tower Karatsuba multiplier (all of the circuit's AND gates,
 3^lg(w) for a width-w lane).  The conversion walks the radix levels of
 basis._levels and the butterflies walk transform.schedule depth by depth,
-twiddles included: the same lists the numeric pipeline runs.
+with transform.twiddles: the same lists the numeric pipeline runs.
 
 Wires are ints: 0 is the constant zero, 1..n the bits of operand a,
 n+1..2n the bits of b, then one ref per emitted gate.  The builder folds
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .basis import _levels
 from .field import CantorField, _as_int
-from .transform import schedule
+from .transform import schedule, twiddles
 
 __all__ = [
     "Circuit",
@@ -249,11 +249,11 @@ def _trace_forward(bld, mats, m, coeffs: list[int]) -> list[list[int]]:
     time; returns lane ref-vectors in leaf order."""
     sched = schedule(m)
     segs = [[[c] for c in coeffs]]  # segment -> value -> coordinate refs
-    for depth, d in enumerate(sched[:-1]):
+    for depth, (d, (tws, _)) in enumerate(zip(sched, twiddles(m))):
         h = 1 << (m - depth - 1)
         child_width = sched[depth + 1].width.tolist()
         nxt = []
-        for vals, (_, _, w, trunc, tw, _) in zip(segs, d.segments()):
+        for vals, (_, _, w, trunc), tw in zip(segs, d.segments(), tws.tolist()):
             wc = child_width[len(nxt)]  # both children share a width
             p0, p1 = vals[:h], vals[h:]
             q0 = [bld.xor_vec(_pad(a, wc), mats.mul_const(tw, b, w, wc)) for a, b in zip(p0, p1)]
@@ -268,10 +268,10 @@ def _trace_inverse(bld, mats, m, lanes: list[list[int]]) -> list[int]:
     """Inverse pruned transform on wires, from the leaves of schedule(m) up;
     returns 2^m single-bit coeff refs."""
     segs = [[v] for v in lanes]
-    for depth in range(m - 1, -1, -1):
+    for d, (_, cs) in zip(reversed(schedule(m)[:-1]), reversed(twiddles(m))):
         children = iter(segs)
         segs = []
-        for _, l, w, trunc, _, c in schedule(m)[depth].segments():
+        for (_, l, w, trunc), c in zip(d.segments(), cs.tolist()):
             q0 = next(children)
             if trunc:  # p1 = q0 >> l, p0 = (q0 mod 2^l) + c * p1, where w = l
                 p1 = [q[l:] for q in q0]
@@ -467,6 +467,8 @@ def verify_slp(
     """Compare the circuit against the quadratic convolution on bitsliced
     batches: every (a, b) pair when 2^(2n) fits the limit, otherwise edge
     patterns plus random trials."""
+    trials = _as_int(trials, "trials")
+    exhaustive_limit = _as_int(exhaustive_limit, "exhaustive_limit")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if isinstance(circ, str):

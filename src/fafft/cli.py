@@ -15,11 +15,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from .basis import from_novel, to_novel, to_novel_by_division
+from .basis import from_novel, to_novel
 from .circuit import gen_mul_circuit, parse_slp, verify_slp
 from .field import CantorField
 from .mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
-from .transform import FaftEngine
+from .reference import FaftEngine, to_novel_by_division
 
 __all__ = ["main"]
 

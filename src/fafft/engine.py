@@ -1,8 +1,8 @@
 """Batched depth-by-depth execution of the pruned transform.
 
-transform.schedule(m) lists the segments of the pruned tree depth by depth,
-with their twiddles, and transform.FaftEngine's recursion is the
-correctness reference.  This module runs that schedule one depth at a time:
+transform.schedule(m) lists the segments of the pruned tree depth by depth
+and transform.twiddles(m) their twiddles; reference.FaftEngine's recursion
+is the tests' oracle.  This module runs that schedule one depth at a time:
 every surviving segment at depth j has the same length 2^(m-j), so one
 reshape turns the flat state vector into a (segments, 2, half) array and
 each depth is a handful of whole-array operations.  A plan adds only the
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import _BYTE_NP, _EXP16, _LOG16, _mul_vec, binru
-from .transform import FaftEngine, schedule
+from .transform import _check_m, schedule, twiddles
 
 __all__ = ["LayeredEngine"]
 
@@ -167,25 +167,25 @@ class _ConstMul:
 class LayeredEngine:
     """Array-batched pruned transform of schedule(m).
 
-    The twiddles are the same in every field of the nested tower, so the
-    FaftEngine's field only bounds the size: plan raises ValueError unless
-    2^m points fit in it (m <= 64 in GF(2^64)).
+    The twiddles are the same in every field of the nested tower, so one
+    engine serves every size that fits GF(2^64): plan raises ValueError
+    unless 0 <= m <= 64.  The constructor ignores its optional argument, so
+    callers written as LayeredEngine(FaftEngine(6)) keep working.
     """
 
-    def __init__(self, eng: FaftEngine):
-        self.eng = eng
+    def __init__(self, eng=None):
         self._plans: dict[int, _Plan] = {}
 
     def plan(self, m: int) -> _Plan:
+        m = _check_m(m)
         if m not in self._plans:
             self._plans[m] = self._build_plan(m)
         return self._plans[m]
 
     def _build_plan(self, m: int) -> _Plan:
-        self.eng._check_m(m)
         sched = schedule(m)
         layers: list[_Layer] = []
-        for depth, seg in enumerate(sched[:-1]):
+        for depth, (seg, (tw, c)) in enumerate(zip(sched, twiddles(m))):
             trunc = seg.trunc
             lu = seg.l.astype(_U)
             width = int(seg.width.max())
@@ -202,8 +202,8 @@ class LayeredEngine:
                     width=width,
                     dtype=_dtype(width),
                     child_dtype=child,
-                    tw=_ConstMul(seg.tw, width),
-                    c=_ConstMul(seg.c, width),
+                    tw=_ConstMul(tw, width),
+                    c=_ConstMul(c, width),
                     shift=np.where(trunc, seg.l, 0).astype(np.uint8)[:, None],
                     mask=np.where(trunc, (_U(1) << lu) - _U(1), ones).astype(child)[:, None],
                 )

@@ -26,17 +26,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import from_novel, from_novel_packed, to_novel, to_novel_packed
+from .basis import from_novel, to_novel
 from .engine import LayeredEngine
 from .field import _as_int, _mul_vec, _span
-from .transform import FaftEngine
 
 __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
 
-_LAYERED = LayeredEngine(FaftEngine(6))
+_LAYERED = LayeredEngine()
 
 
 class _ByteTables:
@@ -58,7 +57,7 @@ class _ByteTables:
         # Monomial x^j to its leaves: slot t, bit j of the converted identity
         # is the coefficient of X_t in x^j.
         eye = to_bits(np.eye(n, dtype=np.uint8).ravel())
-        novel = to_lanes(to_novel_packed(eye, n, n), n * n).reshape(n, n)
+        novel = to_lanes(to_novel(eye, n, n), n * n).reshape(n, n)
         fwd = np.zeros((8 * nb, nleaves), dtype=np.uint8)
         fwd[:n] = _LAYERED.forward(novel.T, m)
         # Unit bit b of leaf k to its product bits, packed into bytes.
@@ -66,7 +65,7 @@ class _ByteTables:
         bit = np.arange(n) - np.repeat(np.cumsum(widths) - widths, widths)
         units = np.zeros((n, nleaves), dtype=np.uint64)
         units[np.arange(n), leaf] = np.uint64(1) << bit.astype(np.uint64)
-        g = from_novel_packed(to_bits(_LAYERED.inverse(units, m).T.ravel()), n, n)
+        g = from_novel(to_bits(_LAYERED.inverse(units, m).T.ravel()), n, n)
         inv = np.zeros((nleaves, 8, nb), dtype=np.uint8)
         inv[leaf, bit] = np.packbits(to_lanes(g, n * n).reshape(n, n).T, axis=1, bitorder="little")
         # _span puts the byte value first; move it inside the byte or leaf

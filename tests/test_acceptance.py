@@ -15,13 +15,14 @@ from fafft.basis import from_novel, to_novel
 from fafft.circuit import gen_mul_circuit, verify_slp
 from fafft.engine import LayeredEngine
 from fafft.mul import mul_fafft, mul_schoolbook
-from fafft.transform import FaftEngine, OpCounters, count_ops
+from fafft.reference import FaftEngine
+from fafft.transform import OpCounters, count_ops
 
 
 @functools.lru_cache(maxsize=1)
 def _engines() -> tuple[FaftEngine, LayeredEngine]:
     eng = FaftEngine(6)
-    return eng, LayeredEngine(eng)
+    return eng, LayeredEngine()
 
 
 def _run(log, name, budget_s, body):

@@ -94,7 +94,7 @@ def test_outputs_match_schoolbook_directly():
 
 
 def test_and_gates_only_in_lane_products():
-    from fafft.transform import FaftEngine
+    from fafft.reference import FaftEngine
 
     for n in (8, 16, 33):
         c = gen_mul_circuit(n)

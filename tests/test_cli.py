@@ -4,7 +4,7 @@ import pytest
 
 from fafft.circuit import gen_mul_circuit
 from fafft.cli import main
-from fafft.transform import FaftEngine
+from fafft.reference import FaftEngine
 
 
 def run(capsys, *argv):

@@ -9,15 +9,18 @@ from fafft import (
     CantorField,
     FaftEngine,
     LayeredEngine,
+    count_ops,
     from_novel,
-    from_novel_packed,
     gen_mul_circuit,
+    n_cross_section,
     to_novel,
-    to_novel_by_division,
-    to_novel_packed,
+    verify_slp,
 )
+from fafft.reference import to_novel_by_division
+from fafft.transform import cross_section, schedule
 
-LAY = LayeredEngine(FaftEngine(6))
+LAY = LayeredEngine()
+ORACLE = FaftEngine(6)
 
 
 def leaves(m, value=0, dtype=np.uint64):
@@ -40,11 +43,23 @@ BAD = {
     "to_novel float": (lambda: to_novel(1.0, 4), TypeError, "float"),
     "to_novel length": (lambda: to_novel(1, 4.0), TypeError, "length"),
     "from_novel bool": (lambda: from_novel(1, True), TypeError, "bool"),
-    "packed width": (lambda: to_novel_packed(1, 4, 1.5), TypeError, "width"),
-    "packed length": (lambda: from_novel_packed(1, np.float64(4), 2), TypeError, "float64"),
+    "packed width": (lambda: to_novel(1, 4, 1.5), TypeError, "width"),
+    "packed length": (lambda: from_novel(1, np.float64(4), 2), TypeError, "float64"),
     "division float": (lambda: to_novel_by_division(1.0, 4), TypeError, "float"),
     "field height bool": (lambda: CantorField(True), TypeError, "bool"),
     "field height float": (lambda: CantorField(6.0), TypeError, "float"),
+    "verify trials bool": (lambda: verify_slp(gen_mul_circuit(9), trials=True), TypeError, "bool"),
+    "verify trials float": (lambda: verify_slp(gen_mul_circuit(9), trials=2.5), TypeError, "float"),
+    "verify limit bool": (lambda: verify_slp("", exhaustive_limit=True), TypeError, "bool"),
+    # size exponents are checked before any cache, where True would hit m = 1
+    "count_ops bool": (lambda: count_ops(True), TypeError, "bool"),
+    "n_cross_section bool": (lambda: n_cross_section(True), TypeError, "bool"),
+    "schedule bool": (lambda: schedule(True), TypeError, "bool"),
+    "cross_section bool": (lambda: cross_section(True), TypeError, "bool"),
+    "cross_section float": (lambda: cross_section(1.0), TypeError, "float"),
+    "oracle cross_section bool": (lambda: ORACLE.cross_section(True), TypeError, "bool"),
+    "oracle faft bool": (lambda: ORACLE.faft(3, True), TypeError, "bool"),
+    "plan bool": (lambda: LAY.plan(True), TypeError, "bool"),
     # a leaf above its orbit subfield: GF(2^16) logs at m = 9, the byte
     # table at m = 6
     "pointwise 2^20 at m=9": (pointwise(9, 1 << 20), ValueError, "subfield"),
@@ -66,7 +81,10 @@ def test_bad_input_raises(case):
 def test_integer_likes_accepted():
     # numpy integers stand in for ints, and come back as Python ints
     assert to_novel(np.int64(5), np.uint8(4)) == to_novel(5, 4)
-    assert from_novel_packed(np.uint64(6), np.int32(2), 2) == from_novel_packed(6, 2, 2)
+    assert from_novel(np.uint64(6), np.int32(2), 2) == from_novel(6, 2, 2)
+    assert [p.index for p in ORACLE.cross_section(np.int64(2))] == [0, 1, 2]
+    m = ORACLE.faft(3, np.uint8(2)).m
+    assert m == 2 and type(m) is int
     n = gen_mul_circuit(np.int64(2)).n
     assert n == 2 and type(n) is int
     assert CantorField(np.int64(6)).order == 1 << 64

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fafft.basis import from_novel, to_novel
 from fafft.engine import LayeredEngine
 from fafft.mul import _tables, mul, mul_fafft, mul_karatsuba, mul_schoolbook
-from fafft.transform import FaftEngine
 
 
 def conv_naive(a: int, b: int) -> int:
@@ -132,7 +131,7 @@ def test_products_at_subfield_sizes():
 
 
 def test_pointwise_rejects_wrong_lane_count():
-    lay = LayeredEngine(FaftEngine(6))
+    lay = LayeredEngine()
     leaves = np.ones(len(lay.plan(5).leaf_max), dtype=np.uint64)  # 8 leaves
     assert lay.pointwise(leaves, leaves, 5).tolist() == leaves.tolist()
     # one lane would broadcast against eight without the check
@@ -156,7 +155,7 @@ def test_dispatch():
 
 @pytest.fixture(scope="module")
 def lay():
-    return LayeredEngine(FaftEngine(6))
+    return LayeredEngine()
 
 
 def test_table_path_covers_leaves_of_one_byte(lay):

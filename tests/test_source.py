@@ -16,3 +16,42 @@ def test_no_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _imports_reference(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("reference", "fafft.reference") or (
+                module in ("", "fafft") and any(a.name == "reference" for a in node.names)
+            ):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name == "fafft.reference" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_front_ends_import_the_oracle():
+    # the product path (field .. circuit) must run without the recursive oracle
+    importers = {
+        path.name
+        for path in Path(fafft.__file__).parent.glob("*.py")
+        if _imports_reference(ast.parse(path.read_text()))
+    }
+    assert "__init__.py" in importers  # the walk sees relative imports
+    assert importers <= {"__init__.py", "cli.py", "reference.py"}
+
+
+def test_benchmark_harness_names_are_exported():
+    # perfbench/ reaches the package only through these names
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    used = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "fafft":
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fafft":
+                used.add(node.attr)
+    assert used, "no fafft imports found under perfbench/"
+    assert sorted(used - set(fafft.__all__)) == []

@@ -7,8 +7,16 @@ import pytest
 from fafft.basis import to_novel
 from fafft.field import binru
 from fafft.subspace import eval_subspace
-from fafft import transform
-from fafft.transform import FaftEngine, OpCounters, count_ops, n_cross_section, schedule
+from fafft import reference, transform
+from fafft.reference import FaftEngine
+from fafft.transform import (
+    OpCounters,
+    count_ops,
+    cross_section,
+    n_cross_section,
+    schedule,
+    twiddles,
+)
 
 
 @pytest.fixture(scope="module")
@@ -192,14 +200,16 @@ def test_schedule_matches_recursive_walk(eng):
         walk(m, 0, 0, 0, want)
         sched = schedule(m)
         assert len(sched) == m + 1
+        assert len(twiddles(m)) == m  # none at the leaves
         for depth, d in enumerate(sched):
             assert list(zip(d.alpha.tolist(), d.l.tolist())) == want[depth]
             assert d.width.tolist() == [binru(l) for _, l in want[depth]]
             assert d.trunc.tolist() == [l > 0 and l & (l - 1) == 0 for _, l in want[depth]]
-            for alpha, l, _, trunc, tw, c in d.segments():
-                if depth == m:
-                    assert (tw, c) == (0, 0)
-                    continue
+            if depth == m:
+                continue
+            tws, cs = (t.tolist() for t in twiddles(m)[depth])
+            assert len(tws) == len(cs) == len(d.alpha)
+            for (alpha, l, _, trunc), tw, c in zip(d.segments(), tws, cs):
                 assert tw == eng.twiddles.twiddle(m - depth - 1, alpha)
                 if trunc:  # tw = v_l + c with c in GF(2^l)
                     assert c == tw ^ (1 << l) and c >> l == 0
@@ -212,7 +222,20 @@ def test_schedule_rejects_twiddle_without_unit_top(monkeypatch):
     rows[0, 1] ^= 2  # s_0(v_1) = v_1 no longer: the state-1 segment at m = 2 breaks
     monkeypatch.setattr(transform, "_twiddle_rows", lambda: rows)
     with pytest.raises(RuntimeError):
-        transform.schedule.__wrapped__(2)
+        transform.twiddles.__wrapped__(2)
+
+
+def test_counting_builds_no_twiddles(monkeypatch):
+    def fail():
+        raise AssertionError("the twiddle table was built")
+
+    want = count_ops(22), n_cross_section(22), cross_section(12)
+    monkeypatch.setattr(transform, "_twiddle_rows", fail)
+    for f in (schedule, cross_section, twiddles):
+        f.cache_clear()
+    assert (count_ops(22), n_cross_section(22), cross_section(12)) == want
+    with pytest.raises(AssertionError, match="twiddle table"):
+        twiddles(3)  # the patch is live
 
 
 def test_ifafft_roundtrip(eng):
@@ -287,6 +310,6 @@ def test_faft_checks_size_before_conversion(eng, monkeypatch):
     def fail(f, n):
         raise AssertionError("to_novel called before the size check")
 
-    monkeypatch.setattr(transform, "to_novel", fail)
+    monkeypatch.setattr(reference, "to_novel", fail)
     with pytest.raises(ValueError):
         eng.faft(1, 65)
