@@ -73,6 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-log", type=int, default=18, help="largest product size, log2 bits")
     q.add_argument("--reps", type=int, default=3, help="timed repetitions per point")
     q.add_argument("--csv", type=Path, default=None, help="also write the CSV here")
+    q.add_argument(
+        "--json", type=Path, default=None, help="also write the rows and a machine record here"
+    )
 
     q = sub.add_parser("gen-circuit", help="emit a multiplication circuit")
     q.add_argument("--n", type=int, required=True, help="operand bit width")
@@ -125,7 +128,7 @@ def _cmd_bench(args) -> int:
         ("schoolbook", mul_schoolbook),
         ("karatsuba", mul_karatsuba),
     )
-    lines = ["method,log_bits,seconds_median,peak_mib"]
+    rows = []
     for logn in range(args.min_log, args.max_log + 1):
         half = (1 << logn) // 2
         a = rng.getrandbits(half) | (1 << (half - 1))
@@ -143,12 +146,68 @@ def _cmd_bench(args) -> int:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            lines.append(f"{name},{logn},{statistics.median(times):.6f},{peak / 2**20:.4f}")
-    text = "\n".join(lines) + "\n"
+            rows.append(
+                {
+                    "method": name,
+                    "log_bits": logn,
+                    "seconds_median": statistics.median(times),
+                    "peak_mib": peak / 2**20,
+                }
+            )
+    text = "method,log_bits,seconds_median,peak_mib\n" + "".join(
+        f"{r['method']},{r['log_bits']},{r['seconds_median']:.6f},{r['peak_mib']:.4f}\n"
+        for r in rows
+    )
     sys.stdout.write(text)
     if args.csv is not None:
         args.csv.write_text(text)
+    if args.json is not None:
+        import json
+
+        record = {"machine": _machine(), "seed": args.seed, "reps": args.reps, "rows": rows}
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
+
+
+def _machine() -> dict:
+    """Cores, CPU model, Python, numpy and the commit of this checkout (None
+    outside a git checkout of the project; dirty if tracked files differ)."""
+    import os
+    import platform
+    import subprocess
+
+    import numpy as np
+
+    model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            names = [ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")]
+        model = names[0] if names else model
+    except OSError:
+        pass
+    root = Path(__file__).resolve().parents[2]
+    commit = None
+    try:
+        git = ["git", "-C", str(root)]
+        top, sha = subprocess.run(
+            git + ["rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        ).stdout.split()
+        if Path(top).resolve() == root:
+            dirty = subprocess.run(
+                git + ["status", "--porcelain", "--untracked-files=no"],
+                capture_output=True, text=True, timeout=10,
+            ).stdout.strip()
+            commit = sha + ("-dirty" if dirty else "")
+    except (OSError, subprocess.SubprocessError, ValueError):
+        pass
+    return {
+        "cores": os.cpu_count(),
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "commit": commit,
+    }
 
 
 def _cmd_gen_circuit(args) -> int:

@@ -207,16 +207,6 @@ class CantorField:
         if not 0 <= a <= self.mask:
             raise ValueError(f"element {a:#x} outside GF(2^{self.d})")
 
-    def omega(self, i: int) -> int:
-        """The element whose coordinates are the binary digits of i."""
-        if not 0 <= i <= self.mask:
-            raise ValueError(f"omega index {i} outside 0..2^{self.d}-1")
-        return i
-
-    def add(self, a: int, b: int) -> int:
-        """Sum of two elements (coordinate-wise XOR)."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Product of two elements."""
         self._check(a)
@@ -224,20 +214,6 @@ class CantorField:
         if a < 256 and b < 256:
             return _BYTE[(a << 8) | b]
         return _mul_int(a, b, binru(max(a.bit_length(), b.bit_length())))
-
-    def mul_zeta(self, a: int, j: int) -> int:
-        """Product a * zeta_j by the dedicated constant path (no Karatsuba)."""
-        self._check(a)
-        if not 0 <= j < self.K:
-            raise ValueError(f"zeta index {j} outside 0..{self.K - 1}")
-        return _mul_zeta(a, j)
-
-    def mul_by_u(self, a: int, t: int) -> int:
-        """Product a * u_t by shift/mask folding."""
-        self._check(a)
-        if not 0 <= t < self.K:
-            raise ValueError(f"generator index {t} outside 0..{self.K - 1}")
-        return _mul_by_u(a, t)
 
     def frobenius(self, a: int) -> int:
         """a squared, evaluated through the precomputed bit matrix."""
@@ -250,12 +226,6 @@ class CantorField:
             a ^= low
         return r
 
-    def frobenius_iter(self, a: int, t: int) -> int:
-        """a^(2^t): the Frobenius map applied t times."""
-        for _ in range(t):
-            a = self.frobenius(a)
-        return a
-
     def split_by_u(self, a: int, j: int) -> tuple[int, int]:
         """Write a = r0 + u_j * r1 with both halves free of u_j.
 
@@ -267,14 +237,6 @@ class CantorField:
             raise ValueError(f"split level {j} outside 0..{self.K - 1}")
         m = _M0[j]
         return a & m, (a >> (1 << j)) & m
-
-    def join_by_u(self, r0: int, r1: int, j: int) -> int:
-        """Inverse of split_by_u: r0 + u_j * r1 for u_j-free halves."""
-        if not 0 <= j < self.K:
-            raise ValueError(f"split level {j} outside 0..{self.K - 1}")
-        if (r0 | r1) & ~_M0[j] & self.mask:
-            raise ValueError(f"halves {r0:#x}, {r1:#x} hold u_{j} coordinates")
-        return r0 | (r1 << (1 << j))
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse, a^(2^d - 2)."""
@@ -300,10 +262,6 @@ class CantorField:
             base = self.mul(base, base)
             e >>= 1
         return r
-
-    def in_subfield(self, a: int, j: int) -> bool:
-        """True when a lies in GF(2^(2^j)), i.e. support below 2^j."""
-        return a.bit_length() <= (1 << j)
 
 
 def _build_log16():

@@ -11,13 +11,22 @@ top of Cantor's nested tower: a smaller field would give the same twiddles
 and products, so one engine serves every size, and only the 2^64 points of
 GF(2^64) bound the product.
 
-Both halves of the pipeline around the lane products are GF(2)-linear.
-Where every leaf of the plan fits one byte (products of at most 2^8 bits),
-each half is applied as a Four-Russians byte table (Arlazarov et al. 1970):
-one gather per operand byte or leaf and an XOR reduce, in place of the
-per-depth array steps whose dispatch dominates at these sizes.  The tables
-are built once per size by running the conversion and the engine on basis
-vectors, so the transform itself is written down only in the engine.
+Both halves of the pipeline around the lane products are GF(2)-linear.  Up
+to 2^10 product bits each half is applied as a Four-Russians table
+(Arlazarov et al. 1970): one gather per chunk of the operands or of the leaf
+products and an XOR reduce, in place of the per-depth array steps whose
+dispatch dominates at these sizes.  The tables come from two closed forms,
+not from running the conversion or the engine:
+
+- forward: the pruned transform evaluates at the cross-section of W_m, so
+  leaf k of x^j is sigma_k^j, a Vandermonde matrix;
+- inverse: s_m(x) is the product of x + w over W_m, and its derivative is
+  its x coefficient, 1, so Lagrange interpolation over W_m gives
+  c(x) = sum of c(w) s_m(x) / (x + w).  The product c has GF(2)
+  coefficients, so over one Frobenius orbit the terms are conjugates and
+  sum to a trace.
+
+The tests hold both tables to the engine.
 """
 
 from __future__ import annotations
@@ -28,71 +37,172 @@ import numpy as np
 
 from .basis import from_novel, to_novel
 from .engine import LayeredEngine
-from .field import _as_int, _mul_vec, _span
+from .field import _EXP16, _LOG16, _as_int, _mul_vec, _span
+from .subspace import subspace_coeffs
+from .transform import schedule
 
 __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
+_TABLE_MAX_M = 10  # products of up to 2^10 bits take the tables
+_Q16 = 65535  # order of GF(2^16)*
+_DELTA_SWAPS = tuple(
+    (np.uint64(s), np.uint64(m))
+    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+_NIBBLES = np.arange(256)[:, None] >> np.array([0, 4]) & 15  # low, high nibble of a byte
 
 _LAYERED = LayeredEngine()
 
 
-class _ByteTables:
-    """The two linear halves of the pipeline at 2^m bits as byte tables.
+class _Tables:
+    """The two linear halves of the pipeline at 2^m bits (m <= 10) as
+    Four-Russians tables over c-bit chunks (c = 8 up to m = 8, else 4).
 
-    Row 256 i + v of fwd holds the leaves of the operand whose only nonzero
-    byte is v, at byte i; row 256 k + v of inv holds the product bytes of
-    the leaf vector whose only nonzero leaf is k, with value v.  Both come
-    from running to_novel, forward, inverse and from_novel on all 2^m basis
-    vectors at once, and from one subset-XOR table per byte position.
+    A leaf vector is packed widest first: the 16-bit leaves as uint16, then
+    one byte per leaf of at most 8 bits, zero-padded to whole uint64 words.
+    Row 2^c i + v of fwd holds the packed leaves of the operand whose only
+    nonzero chunk is v, at chunk i; row 2^c i + v of inv holds the product,
+    as uint64 words, of the packed leaf vector whose only nonzero chunk is v,
+    at chunk i.
     """
 
     def __init__(self, m: int):
         n = 1 << m
-        widths = _LAYERED.plan(m).leaf_widths
-        nleaves = len(widths)
-        self.nbytes = nb = (n + 7) // 8
-        to_bits, to_lanes = _LAYERED.lanes_to_bits, _LAYERED.bits_to_lanes
-        # Monomial x^j to its leaves: slot t, bit j of the converted identity
-        # is the coefficient of X_t in x^j.
-        eye = to_bits(np.eye(n, dtype=np.uint8).ravel())
-        novel = to_lanes(to_novel(eye, n, n), n * n).reshape(n, n)
-        fwd = np.zeros((8 * nb, nleaves), dtype=np.uint8)
-        fwd[:n] = _LAYERED.forward(novel.T, m)
-        # Unit bit b of leaf k to its product bits, packed into bytes.
-        leaf = np.repeat(np.arange(nleaves), widths)
-        bit = np.arange(n) - np.repeat(np.cumsum(widths) - widths, widths)
-        units = np.zeros((n, nleaves), dtype=np.uint64)
-        units[np.arange(n), leaf] = np.uint64(1) << bit.astype(np.uint64)
-        g = from_novel(to_bits(_LAYERED.inverse(units, m).T.ravel()), n, n)
-        inv = np.zeros((nleaves, 8, nb), dtype=np.uint8)
-        inv[leaf, bit] = np.packbits(to_lanes(g, n * n).reshape(n, n).T, axis=1, bitorder="little")
-        # _span puts the byte value first; move it inside the byte or leaf
-        fwd = _span(fwd.reshape(nb, 8, nleaves).transpose(1, 0, 2))
-        self.fwd = fwd.transpose(1, 0, 2).reshape(nb * 256, nleaves)
-        self.inv = _span(inv.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(nleaves * 256, nb)
+        cs = schedule(m)[-1]
+        order = np.argsort(-cs.width, kind="stable")
+        widths = cs.width[order]
+        self.n16 = n16 = int(np.count_nonzero(widths == 16))
+        self.nleaf_bytes = lb = n16 + len(widths)
+        words = (lb + 7) // 8
+        self.chunk = c = 8 if m <= 8 else 4
+        # Leaf k of x^j is sigma_k^j: the transform evaluates at the
+        # cross-section points sigma_k.  0^j is 1 at j = 0 and 0 after.
+        sigma = cs.alpha[order]
+        j = np.arange(n, dtype=np.int32)[:, None]
+        fwd = _EXP16.take(j * _LOG16.take(sigma) % _Q16)
+        fwd[1:, sigma == 0] = 0
+        # Lagrange over W_m, where s_m' = 1: bit j of the product c is the
+        # sum over w in W_m of c(w) R_j(w), where R_j(w), the x^j coefficient
+        # of s_m(x)/(x + w), sums w^(2^i - 1 - j) over the terms x^(2^i) of
+        # s_m with 2^i > j: reversed Vandermonde rows.  R_j has GF(2)
+        # coefficients, so over the orbit of sigma the sum is the trace
+        # Tr_w(c(sigma) R_j(sigma)), and bit j of the image of leaf k, bit b,
+        # is Tr_w(v_b R_j(sigma_k)).
+        r = np.zeros_like(fwd)
+        bits = subspace_coeffs(m).bits
+        for i in range(m + 1):
+            if bits >> i & 1:
+                r[: 1 << i] ^= fwd[(1 << i) - 1 :: -1]
+        start = 0
+        for w in (16, 8, 4, 2, 1):  # the slots hold descending widths
+            stop = start + int(np.count_nonzero(widths == w))
+            r[:, start:stop] = _trace_form(w, r[:, start:stop])
+            start = stop
+        self.fwd = _chunk_table(_pack(fwd, n16, words), c)
+        self.inv = _chunk_table(_transpose_bits(_pack(r, n16, words)[:, :lb]), c)
         self.fwd.setflags(write=False)
         self.inv.setflags(write=False)
-        self._fwd_rows = np.tile(256 * np.arange(nb), 2)
-        self._inv_rows = 256 * np.arange(nleaves, dtype=np.uint64)
+        self.nbytes = (n + 7) // 8
+        self._fwd_rows = np.tile(_chunk_offsets(self.nbytes, c), 2)
+        self._inv_rows = _chunk_offsets(lb, c)
 
     def leaves(self, a: int, b: int) -> np.ndarray:
-        """Leaf values (uint8, shape (2, leaves)) of two operands of at most 2^m bits."""
+        """Packed leaves (uint8, one padded row each) of two operands of at
+        most 2^m bits."""
         raw = a.to_bytes(self.nbytes, "little") + b.to_bytes(self.nbytes, "little")
-        rows = np.frombuffer(raw, dtype=np.uint8) + self._fwd_rows
-        parts = np.take(self.fwd, rows, axis=0).reshape(2, self.nbytes, -1)
-        return np.bitwise_xor.reduce(parts, axis=1)
+        rows = _chunks(np.frombuffer(raw, dtype=np.uint8), self.chunk) + self._fwd_rows
+        parts = np.take(self.fwd, rows, axis=0).reshape(2, len(rows) // 2, -1)
+        return np.bitwise_xor.reduce(parts, axis=1).view(np.uint8)
+
+    def pointwise(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+        """Lane products of two packed leaf vectors: GF(2^16) logs on the
+        uint16 leaves, the GF(2^8) table on the bytes.  The tower is nested,
+        so a product of narrower leaves taken in GF(2^8) is their product."""
+        h, lb = 2 * self.n16, self.nleaf_bytes
+        low = _mul_vec(va[h:lb], vb[h:lb], 8)
+        if not h:
+            return low
+        high = _mul_vec(va[:h].view(np.uint16), vb[:h].view(np.uint16), 16)
+        return np.concatenate((high.view(np.uint8), low))
 
     def product(self, leaves: np.ndarray) -> int:
-        """The product whose leaf values are the uint64 vector leaves."""
-        parts = np.take(self.inv, leaves + self._inv_rows, axis=0)
+        """The product whose packed leaf bytes are leaves."""
+        rows = _chunks(leaves[: self.nleaf_bytes], self.chunk) + self._inv_rows
+        parts = np.take(self.inv, rows, axis=0)
         return int.from_bytes(np.bitwise_xor.reduce(parts, axis=0).tobytes(), "little")
 
 
+def _trace_form(w: int, y: np.ndarray) -> np.ndarray:
+    """The w-bit values whose bit b is Tr_w(v_b y), for y in GF(2^w).
+
+    Tr_w = s_{w-1} on GF(2^w) for w a power of two, and s_{w-1} kills v_i
+    below w - 1 and maps v_{w-1} to 1, so the trace is the top coordinate;
+    the map is linear in y, one span table per byte of it.
+    """
+    v = np.uint16(1) << np.arange(w, dtype=np.uint16)
+    gram = _mul_vec(v[:, None], v, w).astype(np.uint16) >> (w - 1) & 1
+    cols = (gram << np.arange(w, dtype=np.uint16)[:, None]).sum(axis=0, dtype=np.uint16)
+    out = np.zeros(y.shape, dtype=np.uint16)
+    for p in range(0, w, 8):
+        out ^= _span(cols[p : p + 8])[(y >> p) & 0xFF]
+    return out
+
+
+def _transpose_bits(x: np.ndarray) -> np.ndarray:
+    """The transpose of a bit matrix stored as rows of bytes, bit i of byte
+    s being column 8 s + i: row 8 s + i of the result holds bit i of byte s
+    of every row of x, packed the same way.
+
+    Each 8 x 8 block is one uint64, transposed by three delta swaps (Hacker's
+    Delight, section 7-3).
+    """
+    rows, nbytes = x.shape
+    blocks = np.zeros((nbytes, -(-rows // 8) * 8), dtype=np.uint8)
+    blocks[:, :rows] = x.T
+    w = blocks.view("<u8").astype(np.uint64)
+    for shift, mask in _DELTA_SWAPS:
+        t = (w ^ (w >> shift)) & mask
+        w ^= t ^ (t << shift)
+    out = w.astype("<u8").view(np.uint8).reshape(nbytes, -1, 8)
+    return out.transpose(0, 2, 1).reshape(8 * nbytes, -1)
+
+
+def _pack(vals: np.ndarray, n16: int, words: int) -> np.ndarray:
+    """Rows of leaf values, one column per slot, as packed leaf bytes."""
+    out = np.zeros((len(vals), 8 * words), dtype=np.uint8)
+    out[:, : 2 * n16] = vals[:, :n16].astype(np.uint16).view(np.uint8)
+    out[:, 2 * n16 : n16 + vals.shape[1]] = vals[:, n16:]
+    return out
+
+
+def _chunk_table(units: np.ndarray, c: int) -> np.ndarray:
+    """Four-Russians table of the linear map whose unit-bit images are the
+    byte rows of units: row 2^c i + v is the image of chunk value v at chunk
+    i, as uint64 words."""
+    nbits, width = units.shape
+    chunks = -(-nbits // c)
+    cols = np.zeros((chunks * c, -(-width // 8) * 8), dtype=np.uint8)
+    cols[:nbits, :width] = units
+    # _span puts the chunk value first; move it inside the chunk
+    t = _span(cols.reshape(chunks, c, -1).transpose(1, 0, 2)).transpose(1, 0, 2)
+    return np.ascontiguousarray(t).reshape(chunks << c, -1).view(np.uint64)
+
+
+def _chunk_offsets(nbytes: int, c: int) -> np.ndarray:
+    """The first table row of each c-bit chunk of nbytes bytes."""
+    return np.arange(nbytes * 8 // c, dtype=np.intp) << c
+
+
+def _chunks(raw: np.ndarray, c: int) -> np.ndarray:
+    """The c-bit chunks (c = 4 or 8) of a byte array, low chunk first."""
+    return raw if c == 8 else _NIBBLES.take(raw, axis=0).ravel()
+
+
 @lru_cache(maxsize=None)
-def _tables(m: int) -> _ByteTables:
-    return _ByteTables(m)
+def _tables(m: int) -> _Tables:
+    return _Tables(m)
 
 
 def _check_operands(a, b) -> tuple[int, int]:
@@ -151,6 +261,7 @@ def mul_karatsuba(a: int, b: int) -> int:
 def mul_fafft(a: int, b: int) -> int:
     """Transform pipeline multiplication over GF(2^64).
 
+    Products of up to 2^10 bits take the tables, larger ones the engine.
     Any product size works up to 2^64 bits, the points of the field; the
     engine's plan raises ValueError past that.
     """
@@ -159,15 +270,13 @@ def mul_fafft(a: int, b: int) -> int:
         return 0
     need = a.bit_length() + b.bit_length() - 1
     m = (need - 1).bit_length()
-    # The leaves below come from the forward transform, so they lie in their
-    # orbit subfields; they skip pointwise's check of that.
-    w = _LAYERED.plan(m).leaf_width
-    if w <= 8:
+    if m <= _TABLE_MAX_M:
         t = _tables(m)
-        va, vb = t.leaves(a, b)
-        c = t.product(_mul_vec(va, vb, w))
+        c = t.product(t.pointwise(*t.leaves(a, b)))
     else:
-        n = 1 << m
+        # The leaves below come from the forward transform, so they lie in
+        # their orbit subfields; they skip pointwise's check of that.
+        n, w = 1 << m, _LAYERED.plan(m).leaf_width
         lanes = np.stack([_LAYERED.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
         va, vb = _LAYERED.forward(lanes, m)
         vc = _mul_vec(va, vb, w)

@@ -1,5 +1,8 @@
 """Command-line interface."""
 
+import json
+import platform
+
 import pytest
 
 from fafft.circuit import gen_mul_circuit
@@ -101,6 +104,28 @@ def test_bench_csv(capsys, tmp_path):
         assert float(sec) >= 0
         assert float(peak) > 0
     assert out_file.read_text() == out
+
+
+def test_bench_json(capsys, tmp_path):
+    out_file = tmp_path / "bench.json"
+    code, out = run(
+        capsys, "bench", "--min-log", "6", "--max-log", "7", "--reps", "1",
+        "--json", str(out_file),
+    )
+    assert code == 0
+    record = json.loads(out_file.read_text())
+    machine = record["machine"]
+    assert set(machine) == {"cores", "cpu_model", "python", "numpy", "commit"}
+    assert machine["python"] == platform.python_version()
+    assert machine["cores"] >= 1
+    rows = record["rows"]
+    assert [(r["method"], r["log_bits"]) for r in rows] == [
+        (m, n) for n in (6, 7) for m in ("fafft", "schoolbook", "karatsuba")
+    ]
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 + len(rows)
+    for r, ln in zip(rows, lines[1:]):  # the CSV rows, unrounded
+        assert ln == f"{r['method']},{r['log_bits']},{r['seconds_median']:.6f},{r['peak_mib']:.4f}"
 
 
 def test_gen_circuit_counts(capsys, tmp_path):

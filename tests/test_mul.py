@@ -1,5 +1,6 @@
 """GF(2)[x] multiplication routes."""
 
+import importlib
 import random
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fafft import engine, transform
 from fafft.basis import from_novel, to_novel
 from fafft.engine import LayeredEngine
 from fafft.mul import _tables, mul, mul_fafft, mul_karatsuba, mul_schoolbook
+from fafft.transform import schedule
 
 
 def conv_naive(a: int, b: int) -> int:
@@ -150,7 +153,9 @@ def test_dispatch():
         mul(-1, 1)
 
 
-# ----- byte tables (products of at most 2^8 bits) ---------------------
+# ----- tables (products of at most 2^10 bits) --------------------------
+
+TABLE_MS = range(0, 11)
 
 
 @pytest.fixture(scope="module")
@@ -158,30 +163,97 @@ def lay():
     return LayeredEngine()
 
 
-def test_table_path_covers_leaves_of_one_byte(lay):
-    for m in range(0, 12):
-        assert (lay.plan(m).leaf_width <= 8) == (m <= 8)
+def slot_order(m):
+    """Depth-first leaf index of each table slot: widest leaves first."""
+    return np.argsort(-schedule(m)[-1].width, kind="stable")
+
+
+def unpack_leaves(m, packed):
+    """Packed table leaves as uint64 values in the engine's leaf order."""
+    t = _tables(m)
+    h = 2 * t.n16
+    vals = np.concatenate([packed[:h].view(np.uint16), packed[h : t.nleaf_bytes]])
+    out = np.empty(len(vals), dtype=np.uint64)
+    out[slot_order(m)] = vals
+    return out
+
+
+def pack_leaves(m, leaves):
+    """uint64 leaf values in the engine's order as packed table leaves."""
+    t = _tables(m)
+    vals = leaves[slot_order(m)]
+    return np.concatenate(
+        [vals[: t.n16].astype(np.uint16).view(np.uint8), vals[t.n16 :].astype(np.uint8)]
+    )
 
 
 def test_input_table_matches_engine(lay):
     rng = random.Random(70)
-    for m in range(0, 9):
+    for m in TABLE_MS:
         n = 1 << m
         for _ in range(20):
             a, b = rng.getrandbits(n), rng.getrandbits(n)
             lanes = np.stack([lay.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
-            assert _tables(m).leaves(a, b).tolist() == lay.forward(lanes, m).tolist()
+            want = lay.forward(lanes, m)
+            got = _tables(m).leaves(a, b)
+            for i in range(2):
+                assert unpack_leaves(m, got[i]).tolist() == want[i].tolist()
 
 
 def test_output_table_matches_engine(lay):
     rng = random.Random(71)
-    for m in range(0, 9):
+    for m in TABLE_MS:
         n = 1 << m
         widths = lay.plan(m).leaf_widths.tolist()
         for _ in range(20):
             leaves = np.array([rng.getrandbits(w) for w in widths], dtype=np.uint64)
             want = from_novel(lay.lanes_to_bits(lay.inverse(leaves, m)), n)
-            assert _tables(m).product(leaves) == want
+            assert _tables(m).product(pack_leaves(m, leaves)) == want
+
+
+def test_closed_form_unit_images_match_engine(lay):
+    # every leaf bit alone: the table rows are the closed-form images
+    for m in TABLE_MS:
+        n = 1 << m
+        widths = lay.plan(m).leaf_widths
+        leaf = np.repeat(np.arange(len(widths)), widths)
+        bit = np.arange(n) - np.repeat(np.cumsum(widths) - widths, widths)
+        units = np.zeros((n, len(widths)), dtype=np.uint64)
+        units[np.arange(n), leaf] = np.uint64(1) << bit.astype(np.uint64)
+        lanes = lay.inverse(units, m)
+        for u, row in zip(units, lanes):
+            want = from_novel(lay.lanes_to_bits(row), n)
+            assert _tables(m).product(pack_leaves(m, u)) == want
+
+
+def test_table_path_never_touches_the_engine(monkeypatch):
+    mul_module = importlib.import_module("fafft.mul")
+
+    def fail(*args):
+        raise AssertionError("the table path ran the engine or the conversion")
+
+    monkeypatch.setattr(LayeredEngine, "plan", fail)
+    for module, name in (
+        (transform, "twiddles"),
+        (engine, "twiddles"),
+        (mul_module, "to_novel"),
+        (mul_module, "from_novel"),
+        (np, "unique"),  # a first call imports numpy.ma: 12-15 ms of set-up
+    ):
+        monkeypatch.setattr(module, name, fail)
+    rng = random.Random(73)
+    _tables.cache_clear()
+    try:
+        for m in TABLE_MS:
+            need = 1 << m
+            la = rng.randint(1, need)
+            a = rng.getrandbits(la) | (1 << (la - 1))
+            b = rng.getrandbits(need - la) | (1 << (need - la))
+            assert mul_fafft(a, b) == mul_schoolbook(a, b)
+        with pytest.raises(AssertionError):  # m = 11 takes the engine
+            mul_fafft(1 << 1024, 1)
+    finally:
+        _tables.cache_clear()
 
 
 def test_table_switch_and_edge_operands():
@@ -191,15 +263,22 @@ def test_table_switch_and_edge_operands():
         return rng.getrandbits(bits - 1) | (1 << (bits - 1))
 
     cases = []
-    for need in (1 << 8, (1 << 8) + 1):  # the last table size, the first engine size
+    for need in (1 << 10, (1 << 10) + 1):  # the last table size, the first engine size
         for la in (1, 2, 8, 100, need // 2, need):
             cases.append((operand(la), operand(need + 1 - la)))
         cases.append((1 << (need - 1), 1))  # every byte but the top one zero
         cases.append((operand(need - 20), operand(21) & ~0xFF))
+    for m in TABLE_MS:  # full-length and unbalanced operands at every table size
+        need = 1 << m
+        half = need // 2 + 1
+        cases.append((operand(half), operand(need + 1 - half)))
+        cases.append((operand(need), 1))
+        cases.append(((1 << need) - 1, 1))
+        cases.append(((1 << half) - 1, (1 << (need + 1 - half)) - 1))
     for a, b in cases:
         assert mul_fafft(a, b) == mul_schoolbook(a, b)
         assert mul_fafft(b, a) == mul_schoolbook(a, b)
-    for a in (0, 1, (1 << 255) | 1, (1 << 256) - 1):
+    for a in (0, 1, (1 << 1023) | 1, (1 << 1024) - 1, (1 << 1024) | 1):
         assert mul_fafft(a, 0) == mul_fafft(0, a) == 0
         assert mul_fafft(a, 1) == mul_fafft(1, a) == a
 

@@ -9,6 +9,13 @@ from fafft.field import CantorField
 from fafft.subspace import SubspaceCoeffs, TwiddleTable, eval_subspace, subspace_coeffs
 
 
+def frobenius_iter(field, a, t):
+    """a^(2^t): the Frobenius map applied t times."""
+    for _ in range(t):
+        a = field.frobenius(a)
+    return a
+
+
 def test_coeff_vectors_small():
     assert subspace_coeffs(0) == SubspaceCoeffs(0, 0b1)
     assert subspace_coeffs(1) == SubspaceCoeffs(1, 0b11)
@@ -37,7 +44,7 @@ def test_eval_matches_coeff_vector(field):
         i = 0
         while bits:
             if bits & 1:
-                want ^= field.frobenius_iter(a, i)
+                want ^= frobenius_iter(field, a, i)
             bits >>= 1
             i += 1
         assert eval_subspace(field, k, a) == want
@@ -45,7 +52,7 @@ def test_eval_matches_coeff_vector(field):
 
 def test_eval_pinned(field):
     # s_1(w_4) = w_4^2 + w_4 = w_6 + w_4 = w_2
-    assert eval_subspace(field, 1, field.omega(4)) == field.omega(2)
+    assert eval_subspace(field, 1, 4) == 2
 
 
 def test_vanishes_exactly_on_subspace(gf64k):
@@ -120,12 +127,12 @@ def test_power_of_two_k_is_frobenius_orbit_sum(field):
     for k in (1, 2, 4, 8, 16, 32):
         for _ in range(10):
             a = rng.randrange(field.order)
-            assert eval_subspace(field, k, a) == field.frobenius_iter(a, k) ^ a
+            assert eval_subspace(field, k, a) == frobenius_iter(field, a, k) ^ a
 
 
 def test_twiddle_pinned(field):
     # s_1(v_3) = v_3^2 + v_3 = w_5
-    assert TwiddleTable(field).twiddle(1, 8) == field.omega(5)
+    assert TwiddleTable(field).twiddle(1, 8) == 5
 
 
 def test_twiddle_equals_eval(field):
