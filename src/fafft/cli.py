@@ -71,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("bench", help="time the multiplication routes and their peak memory")
     q.add_argument("--min-log", type=int, default=14, help="smallest product size, log2 bits")
     q.add_argument("--max-log", type=int, default=18, help="largest product size, log2 bits")
-    q.add_argument("--reps", type=int, default=3, help="timed repetitions per point")
+    q.add_argument(
+        "--reps", type=int, default=3, help="timed rounds, each one call per size and method"
+    )
     q.add_argument("--csv", type=Path, default=None, help="also write the CSV here")
     q.add_argument(
         "--json", type=Path, default=None, help="also write the rows and a machine record here"
@@ -128,32 +130,41 @@ def _cmd_bench(args) -> int:
         ("schoolbook", mul_schoolbook),
         ("karatsuba", mul_karatsuba),
     )
-    rows = []
+    points = []  # (log_bits, method name, method, a, b), one per row
     for logn in range(args.min_log, args.max_log + 1):
         half = (1 << logn) // 2
         a = rng.getrandbits(half) | (1 << (half - 1))
         b = rng.getrandbits(half) | (1 << (half - 1))
-        for name, f in methods:
-            f(a, b)  # warm any cached plans before timing
-            times = []
-            for _ in range(max(args.reps, 1)):
-                t0 = time.perf_counter()
-                f(a, b)
-                times.append(time.perf_counter() - t0)
-            tracemalloc.start()  # numpy reports its buffers to tracemalloc
-            try:
-                f(a, b)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            rows.append(
-                {
-                    "method": name,
-                    "log_bits": logn,
-                    "seconds_median": statistics.median(times),
-                    "peak_mib": peak / 2**20,
-                }
-            )
+        points += [(logn, name, f, a, b) for name, f in methods]
+    for _, _, f, a, b in points:
+        f(a, b)  # warm any cached plans before timing
+    # Each round times every point once, so a host slow spell spreads over
+    # the rows instead of reading as a difference between sizes.  An untimed
+    # call before each timed one gives it the caches of back-to-back calls,
+    # not those the previous point left.
+    times = [[] for _ in points]
+    for _ in range(max(args.reps, 1)):
+        for ts, (_, _, f, a, b) in zip(times, points):
+            f(a, b)
+            t0 = time.perf_counter()
+            f(a, b)
+            ts.append(time.perf_counter() - t0)
+    rows = []
+    for ts, (logn, name, f, a, b) in zip(times, points):
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            f(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows.append(
+            {
+                "method": name,
+                "log_bits": logn,
+                "seconds_median": statistics.median(ts),
+                "peak_mib": peak / 2**20,
+            }
+        )
     text = "method,log_bits,seconds_median,peak_mib\n" + "".join(
         f"{r['method']},{r['log_bits']},{r['seconds_median']:.6f},{r['peak_mib']:.4f}\n"
         for r in rows

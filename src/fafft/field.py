@@ -196,7 +196,6 @@ class CantorField:
         self.d = 1 << K
         self.order = 1 << self.d
         self.mask = self.order - 1
-        self.zeta = [1 << ((1 << j) - 1) for j in range(K)]
         # Frobenius as a bit matrix: row i is v_i squared.
         self._sq = [self.mul(1 << i, 1 << i) for i in range(self.d)]
 

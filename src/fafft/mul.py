@@ -26,7 +26,15 @@ not from running the conversion or the engine:
   coefficients, so over one Frobenius orbit the terms are conjugates and
   sum to a trace.
 
-The tests hold both tables to the engine.
+A direct table at 2^11 bits would take 4 MiB.  Products of 2^10 + 1 to
+2^11 bits instead take the root butterfly's split: the transform's first
+step sends a polynomial to its residues mod s_10 and mod s_10 + 1, which
+are evaluated over W_10 and over its coset v_10 + W_10.  The m = 10 tables
+multiply the first residues, and a 1 MiB pair of tables over the coset,
+built from the same closed forms, the second; the Chinese remainder
+theorem joins the two.
+
+The tests hold all the tables to the engine.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
-_TABLE_MAX_M = 10  # products of up to 2^10 bits take the tables
+_TABLE_MAX_M = 10  # up to 2^10 product bits one pair of tables, up to 2^11 two
 _Q16 = 65535  # order of GF(2^16)*
 _DELTA_SWAPS = tuple(
     (np.uint64(s), np.uint64(m))
@@ -58,7 +66,9 @@ _LAYERED = LayeredEngine()
 
 class _Tables:
     """The two linear halves of the pipeline at 2^m bits (m <= 10) as
-    Four-Russians tables over c-bit chunks (c = 8 up to m = 8, else 4).
+    Four-Russians tables over c-bit chunks (c = 8 up to m = 8, else 4),
+    over the points W_m, the roots of s_m, or, with coset, over v_m + W_m,
+    the roots of s_m + 1.
 
     A leaf vector is packed widest first: the 16-bit leaves as uint16, then
     one byte per leaf of at most 8 bits, zero-padded to whole uint64 words.
@@ -68,28 +78,33 @@ class _Tables:
     at chunk i.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, coset: bool = False):
         n = 1 << m
-        cs = schedule(m)[-1]
-        order = np.argsort(-cs.width, kind="stable")
-        widths = cs.width[order]
+        # The leaves over v_m + W_m are those of the tree at 2^(m+1) points
+        # whose alpha has bit m set; the tree at 2^m points has those over
+        # W_m, whose alphas are all below 2^m.
+        cs = schedule(m + coset)[-1]
+        on = cs.alpha >> np.uint64(m) == coset
+        order = np.argsort(-cs.width[on], kind="stable")
+        widths, sigma = cs.width[on][order], cs.alpha[on][order]
         self.n16 = n16 = int(np.count_nonzero(widths == 16))
         self.nleaf_bytes = lb = n16 + len(widths)
         words = (lb + 7) // 8
         self.chunk = c = 8 if m <= 8 else 4
         # Leaf k of x^j is sigma_k^j: the transform evaluates at the
         # cross-section points sigma_k.  0^j is 1 at j = 0 and 0 after.
-        sigma = cs.alpha[order]
         j = np.arange(n, dtype=np.int32)[:, None]
         fwd = _EXP16.take(j * _LOG16.take(sigma) % _Q16)
         fwd[1:, sigma == 0] = 0
         # Lagrange over W_m, where s_m' = 1: bit j of the product c is the
         # sum over w in W_m of c(w) R_j(w), where R_j(w), the x^j coefficient
         # of s_m(x)/(x + w), sums w^(2^i - 1 - j) over the terms x^(2^i) of
-        # s_m with 2^i > j: reversed Vandermonde rows.  R_j has GF(2)
-        # coefficients, so over the orbit of sigma the sum is the trace
-        # Tr_w(c(sigma) R_j(sigma)), and bit j of the image of leaf k, bit b,
-        # is Tr_w(v_b R_j(sigma_k)).
+        # s_m with 2^i > j: reversed Vandermonde rows.  Over v_m + W_m the
+        # points are the roots of s_m(x) + 1, whose derivative is 1 too, and
+        # (s_m(x) + 1)/(x + w) = (s_m(x) + s_m(w))/(x + w) has the same R_j.
+        # R_j has GF(2) coefficients, so over the orbit of sigma the sum is
+        # the trace Tr_w(c(sigma) R_j(sigma)), and bit j of the image of leaf
+        # k, bit b, is Tr_w(v_b R_j(sigma_k)).
         r = np.zeros_like(fwd)
         bits = subspace_coeffs(m).bits
         for i in range(m + 1):
@@ -121,6 +136,8 @@ class _Tables:
         uint16 leaves, the GF(2^8) table on the bytes.  The tower is nested,
         so a product of narrower leaves taken in GF(2^8) is their product."""
         h, lb = 2 * self.n16, self.nleaf_bytes
+        if h == lb:  # the coset leaves are all 16 bits wide
+            return _mul_vec(va[:h].view(np.uint16), vb[:h].view(np.uint16), 16).view(np.uint8)
         low = _mul_vec(va[h:lb], vb[h:lb], 8)
         if not h:
             return low
@@ -132,6 +149,11 @@ class _Tables:
         rows = _chunks(leaves[: self.nleaf_bytes], self.chunk) + self._inv_rows
         parts = np.take(self.inv, rows, axis=0)
         return int.from_bytes(np.bitwise_xor.reduce(parts, axis=0).tobytes(), "little")
+
+    def mul(self, a: int, b: int) -> int:
+        """ab mod s_m, or mod s_m + 1 over the coset, for a and b of at most
+        2^m bits: interpolation over the points gives the residue."""
+        return self.product(self.pointwise(*self.leaves(a, b)))
 
 
 def _trace_form(w: int, y: np.ndarray) -> np.ndarray:
@@ -201,8 +223,52 @@ def _chunks(raw: np.ndarray, c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _tables(m: int) -> _Tables:
-    return _Tables(m)
+def _tables(m: int, coset: bool = False) -> _Tables:
+    return _Tables(m, coset)
+
+
+# the exponents of the terms of s_10 = x^1024 + x^256 + x^4 + x
+_ROOT_TERMS = tuple(
+    1 << i for i in range(_TABLE_MAX_M + 1) if subspace_coeffs(_TABLE_MAX_M).bits >> i & 1
+)
+
+
+def _times_root(t: int) -> int:
+    """t(x) s_10(x), one shift-XOR per term of s_10."""
+    out = 0
+    for e in _ROOT_TERMS:
+        out ^= t << e
+    return out
+
+
+def _residues(a: int) -> tuple[int, int]:
+    """a mod s_10 and a mod (s_10 + 1), for a of at most 2^11 bits.
+
+    With a = q s_10 + r, a mod (s_10 + 1) = q + r.  A fold a + h s_10,
+    h = a >> 2^10, clears the bits from 2^10 up but carries up to 2^8 bits
+    past 2^10 again; their fold stays below 2^9 bits and settles r, as in
+    basis._radix_fwd.
+    """
+    n = _ROOT_TERMS[-1]
+    q = a >> n
+    r = a ^ _times_root(q)
+    h = r >> n
+    r ^= _times_root(h)
+    return r, r ^ q ^ h
+
+
+def _mul_split(a: int, b: int) -> int:
+    """The product of at most 2^11 bits from the root butterfly's split.
+
+    At 2^11 points the root splits the evaluations into W_10, where s_10
+    vanishes, and v_10 + W_10, where it is 1, so the leaves under each child
+    are those of the residues mod s_10 and mod s_10 + 1.  One table product
+    each gives the product's residues r0 and r1, and c = r0 + s_10 (r0 + r1)
+    is r0 mod s_10, r1 mod s_10 + 1 and below 2^11 bits.
+    """
+    (a0, a1), (b0, b1) = _residues(a), _residues(b)
+    r0 = _tables(_TABLE_MAX_M).mul(a0, b0)
+    return r0 ^ _times_root(r0 ^ _tables(_TABLE_MAX_M, True).mul(a1, b1))
 
 
 def _check_operands(a, b) -> tuple[int, int]:
@@ -261,7 +327,7 @@ def mul_karatsuba(a: int, b: int) -> int:
 def mul_fafft(a: int, b: int) -> int:
     """Transform pipeline multiplication over GF(2^64).
 
-    Products of up to 2^10 bits take the tables, larger ones the engine.
+    Products of up to 2^11 bits take the tables, larger ones the engine.
     Any product size works up to 2^64 bits, the points of the field; the
     engine's plan raises ValueError past that.
     """
@@ -271,8 +337,9 @@ def mul_fafft(a: int, b: int) -> int:
     need = a.bit_length() + b.bit_length() - 1
     m = (need - 1).bit_length()
     if m <= _TABLE_MAX_M:
-        t = _tables(m)
-        c = t.product(t.pointwise(*t.leaves(a, b)))
+        c = _tables(m).mul(a, b)
+    elif m == _TABLE_MAX_M + 1:
+        c = _mul_split(a, b)
     else:
         # The leaves below come from the forward transform, so they lie in
         # their orbit subfields; they skip pointwise's check of that.

@@ -181,19 +181,23 @@ def test_c7_runtime_scaling(acceptance_log):
 
     def body():
         rng = random.Random(0xC7)
-        meds = []
+        pairs = []
         for m in range(14, 21):
             n = 1 << m
             h = n >> 1
             a = rng.getrandbits(h) | (1 << (h - 1))
             b = rng.getrandbits(n - h) | (1 << (n - h - 1))
             mul_fafft(a, b)  # warm the plan before timing
-            ts = []
-            for _ in range(9):
+            pairs.append((a, b))
+        # nine rounds of one call per size, so that a host slow spell
+        # slows every size alike instead of reading as a doubling cliff
+        times = [[] for _ in pairs]
+        for _ in range(9):
+            for ts, (x, y) in zip(times, pairs):
                 t0 = time.perf_counter()
-                mul_fafft(a, b)
+                mul_fafft(x, y)
                 ts.append(time.perf_counter() - t0)
-            meds.append(statistics.median(ts))
+        meds = [statistics.median(ts) for ts in times]
         ratios = [meds[i + 1] / meds[i] for i in range(len(meds) - 1)]
         assert max(ratios) <= 2.5
         ts = []

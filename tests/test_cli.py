@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import importlib
 import json
 import platform
 
@@ -126,6 +127,27 @@ def test_bench_json(capsys, tmp_path):
     assert len(lines) == 1 + len(rows)
     for r, ln in zip(rows, lines[1:]):  # the CSV rows, unrounded
         assert ln == f"{r['method']},{r['log_bits']},{r['seconds_median']:.6f},{r['peak_mib']:.4f}"
+
+
+def test_bench_interleaves_timed_calls(capsys, monkeypatch):
+    cli = importlib.import_module("fafft.cli")
+    methods = ("fafft", "schoolbook", "karatsuba")
+    calls = []
+    for name in methods:
+
+        def record(a, b, name=name):
+            calls.append((name, 2 * a.bit_length()))
+            return 0
+
+        monkeypatch.setattr(cli, f"mul_{name}", record)
+    code, out = run(capsys, "bench", "--min-log", "4", "--max-log", "6", "--reps", "3")
+    assert code == 0
+    points = [(name, 1 << logn) for logn in (4, 5, 6) for name in methods]
+    # one warm call per point, then three rounds of an untimed and a timed
+    # call per point, then one traced call per point for the peak
+    rounds = [p for p in points for _ in range(2)] * 3
+    assert calls == points + rounds + points
+    assert len(out.strip().splitlines()) == 1 + len(points)
 
 
 def test_gen_circuit_counts(capsys, tmp_path):

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 from fafft import engine, transform
 from fafft.basis import from_novel, to_novel
 from fafft.engine import LayeredEngine
-from fafft.mul import _tables, mul, mul_fafft, mul_karatsuba, mul_schoolbook
-from fafft.transform import schedule
+from fafft.mul import (
+    _residues,
+    _tables,
+    _times_root,
+    mul,
+    mul_fafft,
+    mul_karatsuba,
+    mul_schoolbook,
+)
+from fafft.transform import n_cross_section, schedule
 
 
 def conv_naive(a: int, b: int) -> int:
@@ -153,9 +161,10 @@ def test_dispatch():
         mul(-1, 1)
 
 
-# ----- tables (products of at most 2^10 bits) --------------------------
+# ----- tables (products of at most 2^11 bits) --------------------------
 
 TABLE_MS = range(0, 11)
+SPLIT_M = 11  # split at the root into the m = 10 tables and the coset table
 
 
 @pytest.fixture(scope="module")
@@ -163,25 +172,27 @@ def lay():
     return LayeredEngine()
 
 
-def slot_order(m):
-    """Depth-first leaf index of each table slot: widest leaves first."""
-    return np.argsort(-schedule(m)[-1].width, kind="stable")
+def slot_order(m, coset=False):
+    """Depth-first leaf index of each table slot: widest leaves first.  The
+    coset's leaves follow W_m's in the tree at 2^(m+1) points."""
+    widths = schedule(m + coset)[-1].width[n_cross_section(m) if coset else 0 :]
+    return np.argsort(-widths, kind="stable")
 
 
-def unpack_leaves(m, packed):
+def unpack_leaves(m, packed, coset=False):
     """Packed table leaves as uint64 values in the engine's leaf order."""
-    t = _tables(m)
+    t = _tables(m, coset)
     h = 2 * t.n16
     vals = np.concatenate([packed[:h].view(np.uint16), packed[h : t.nleaf_bytes]])
     out = np.empty(len(vals), dtype=np.uint64)
-    out[slot_order(m)] = vals
+    out[slot_order(m, coset)] = vals
     return out
 
 
-def pack_leaves(m, leaves):
+def pack_leaves(m, leaves, coset=False):
     """uint64 leaf values in the engine's order as packed table leaves."""
-    t = _tables(m)
-    vals = leaves[slot_order(m)]
+    t = _tables(m, coset)
+    vals = leaves[slot_order(m, coset)]
     return np.concatenate(
         [vals[: t.n16].astype(np.uint16).view(np.uint8), vals[t.n16 :].astype(np.uint8)]
     )
@@ -226,6 +237,55 @@ def test_closed_form_unit_images_match_engine(lay):
             assert _tables(m).product(pack_leaves(m, u)) == want
 
 
+def test_split_leaves_match_engine(lay):
+    # the root's children at 2^11 points: the first holds the leaves of
+    # W_10, the second those of v_10 + W_10, of the residues mod s_10 and
+    # mod s_10 + 1
+    m, n = SPLIT_M, 1 << SPLIT_M
+    k = n_cross_section(m - 1)
+    top, below = schedule(m)[-1], schedule(m - 1)[-1]
+    assert k == 84 and len(top.alpha) == 148
+    assert top.alpha[:k].tolist() == below.alpha.tolist()
+    assert top.width[:k].tolist() == below.width.tolist()
+    assert _times_root(1) == (1 << 1024) | (1 << 256) | (1 << 4) | (1 << 1)  # s_10
+    rng = random.Random(74)
+    for _ in range(20):
+        a, b = rng.getrandbits(n), rng.getrandbits(n)
+        lanes = np.stack([lay.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
+        want = lay.forward(lanes, m)
+        (a0, a1), (b0, b1) = _residues(a), _residues(b)
+        assert a0 ^ _times_root(a0 ^ a1) == a  # a = q s_10 + r, q = a1 + a0
+        low = _tables(m - 1).leaves(a0, b0)
+        high = _tables(m - 1, True).leaves(a1, b1)
+        for i in range(2):
+            assert unpack_leaves(m - 1, low[i]).tolist() == want[i, :k].tolist()
+            assert unpack_leaves(m - 1, high[i], True).tolist() == want[i, k:].tolist()
+
+
+def test_split_inverse_matches_engine(lay):
+    # r0 + s_10 (r0 + r1) from the two tables' products is the engine's
+    # inverse over all 148 leaves; a unit leaf bit under v_10 + W_10 alone
+    # gives r0 = 0 and the product s_10 r1
+    m, n = SPLIT_M, 1 << SPLIT_M
+    k = n_cross_section(m - 1)
+    widths = lay.plan(m).leaf_widths
+    coset = _tables(m - 1, True)
+    rng = random.Random(75)
+    for _ in range(20):
+        leaves = np.array([rng.getrandbits(w) for w in widths.tolist()], dtype=np.uint64)
+        want = from_novel(lay.lanes_to_bits(lay.inverse(leaves, m)), n)
+        r0 = _tables(m - 1).product(pack_leaves(m - 1, leaves[:k]))
+        r1 = coset.product(pack_leaves(m - 1, leaves[k:], True))
+        assert r0 ^ _times_root(r0 ^ r1) == want
+    leaf = np.repeat(np.arange(k, len(widths)), widths[k:])
+    bit = np.tile(np.arange(16, dtype=np.uint64), len(widths) - k)
+    units = np.zeros((len(leaf), len(widths)), dtype=np.uint64)
+    units[np.arange(len(leaf)), leaf] = np.uint64(1) << bit
+    for u, row in zip(units, lay.inverse(units, m)):
+        want = from_novel(lay.lanes_to_bits(row), n)
+        assert _times_root(coset.product(pack_leaves(m - 1, u[k:], True))) == want
+
+
 def test_table_path_never_touches_the_engine(monkeypatch):
     mul_module = importlib.import_module("fafft.mul")
 
@@ -244,14 +304,14 @@ def test_table_path_never_touches_the_engine(monkeypatch):
     rng = random.Random(73)
     _tables.cache_clear()
     try:
-        for m in TABLE_MS:
+        for m in range(SPLIT_M + 1):
             need = 1 << m
             la = rng.randint(1, need)
             a = rng.getrandbits(la) | (1 << (la - 1))
             b = rng.getrandbits(need - la) | (1 << (need - la))
             assert mul_fafft(a, b) == mul_schoolbook(a, b)
-        with pytest.raises(AssertionError):  # m = 11 takes the engine
-            mul_fafft(1 << 1024, 1)
+        with pytest.raises(AssertionError):  # m = 12 takes the engine
+            mul_fafft(1 << 2048, 1)
     finally:
         _tables.cache_clear()
 
@@ -263,12 +323,14 @@ def test_table_switch_and_edge_operands():
         return rng.getrandbits(bits - 1) | (1 << (bits - 1))
 
     cases = []
-    for need in (1 << 10, (1 << 10) + 1):  # the last table size, the first engine size
+    # the last direct table size, the first and last split sizes, the first
+    # engine size
+    for need in (1 << 10, (1 << 10) + 1, 1 << 11, (1 << 11) + 1):
         for la in (1, 2, 8, 100, need // 2, need):
             cases.append((operand(la), operand(need + 1 - la)))
         cases.append((1 << (need - 1), 1))  # every byte but the top one zero
         cases.append((operand(need - 20), operand(21) & ~0xFF))
-    for m in TABLE_MS:  # full-length and unbalanced operands at every table size
+    for m in range(SPLIT_M + 1):  # full-length and unbalanced operands at every table size
         need = 1 << m
         half = need // 2 + 1
         cases.append((operand(half), operand(need + 1 - half)))
@@ -278,7 +340,8 @@ def test_table_switch_and_edge_operands():
     for a, b in cases:
         assert mul_fafft(a, b) == mul_schoolbook(a, b)
         assert mul_fafft(b, a) == mul_schoolbook(a, b)
-    for a in (0, 1, (1 << 1023) | 1, (1 << 1024) - 1, (1 << 1024) | 1):
+    edges = (1 << 1024) - 1, (1 << 1024) | 1, (1 << 2047) | 1, (1 << 2048) - 1, (1 << 2048) | 1
+    for a in (0, 1) + edges:
         assert mul_fafft(a, 0) == mul_fafft(0, a) == 0
         assert mul_fafft(a, 1) == mul_fafft(1, a) == a
 
@@ -286,7 +349,7 @@ def test_table_switch_and_edge_operands():
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(st.data())
 def test_property_fafft_matches_schoolbook(data):
-    need = data.draw(st.integers(1, 1 << 10), label="product bits")
+    need = data.draw(st.integers(1, 1 << 11), label="product bits")
     la = data.draw(st.integers(1, need), label="bits of a")
     a = data.draw(st.integers(0, (1 << la) - 1), label="a")
     b = data.draw(st.integers(0, (1 << (need + 1 - la)) - 1), label="b")
