@@ -37,7 +37,7 @@ from .circuit import (
     verify_slp,
 )
 from .engine import LayeredEngine
-from .field import CantorField, binrd, binru
+from .field import CantorField, binru
 from .mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
 from .subspace import SubspaceCoeffs, TwiddleTable, eval_subspace, subspace_coeffs
 from .reference import FaftEngine, FaftResult
@@ -56,7 +56,6 @@ __all__ = [
     "SubspaceCoeffs",
     "TwiddleTable",
     "VerifyReport",
-    "binrd",
     "binru",
     "count_ops",
     "eval_slp",

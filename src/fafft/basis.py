@@ -3,21 +3,19 @@
 Basis element X_t is the product of the subspace polynomials s_i selected by
 the binary digits of t, so X_t has degree t and the first 2^k elements span
 exactly the polynomials of degree below 2^k.  Conversion of a length-2^m
-coefficient vector splits off the largest power-of-two block k = binrd(m-1),
-rewrites the input in radix y = s_k(x) = x^(2^k) + x, converts the outer
-vector of y-coefficients, then converts each y-coefficient in place.
+coefficient vector takes k, the largest power of two below m, rewrites the
+input in radix y = s_k(x) = x^(2^k) + x, converts the outer vector of
+y-coefficients, then converts each y-coefficient in place.
 _levels flattens that recursion into one list of radix levels, which
 _convert walks here and circuit.gen_mul_circuit walks on wires.
 
-Everything here operates on bit-packed vectors: one int, W bits per
-coefficient slot, slot i at bits [i*W, (i+1)*W).  GF(2) polynomials use
-W = 1; vectors over an extension field pack each coordinate int into a wider
-slot, and since slot addition is XOR in both cases the same routine serves
-both.  The radix rewrite is a fold: dividing by y^A = x^(2H) + x^A (H and A
-in slots, A = H / 2^k <= H / 2) moves the top half down by H - A slots at
-most twice before the remainder settles, and because the fold is oblivious
-to the data it runs on every block of the packed vector simultaneously
-under a periodic mask.  No per-block Python loop survives.
+Everything here operates on a GF(2) vector packed in one int, bit i the
+coefficient of slot i.  The radix rewrite is a fold: dividing by
+y^A = x^(2H) + x^A (H and A in slots, A = H / 2^k <= H / 2) moves the top
+half down by H - A slots at most twice before the remainder settles, and
+because the fold is oblivious to the data it runs on every block of the
+packed vector simultaneously under a periodic mask.  No per-block Python
+loop survives.
 
 reference.to_novel_by_division is the straightforward quadratic rewrite
 (long division by the full s_k), kept as the tests' cross-check.
@@ -76,40 +74,36 @@ def _radix_inv(f: int, high: int, d: int) -> int:
     return f ^ ((f & high) >> d)
 
 
-def to_novel(f: int, n: int, w: int = 1) -> int:
-    """Convert a coefficient vector of length n, packed w bits per slot, to
-    the subspace-product basis; at w = 1 a GF(2)[x] polynomial, bit i the
-    coeff of x^i."""
-    return _convert(f, n, w, forward=True)
+def to_novel(f: int, n: int) -> int:
+    """Convert a GF(2)[x] polynomial of length n, bit i the coeff of x^i,
+    to the subspace-product basis."""
+    return _convert(f, n, forward=True)
 
 
-def from_novel(g: int, n: int, w: int = 1) -> int:
+def from_novel(g: int, n: int) -> int:
     """Inverse of to_novel."""
-    return _convert(g, n, w, forward=False)
+    return _convert(g, n, forward=False)
 
 
-def _check_packed(f: int, n: int, w: int) -> tuple[int, int, int]:
-    """f, n and w as Python ints; TypeError unless integers, ValueError
-    unless n is a power of two and f fits n slots of w bits."""
+def _check_packed(f: int, n: int) -> tuple[int, int]:
+    """f and n as Python ints; TypeError unless integers, ValueError
+    unless n is a power of two and f fits n bits."""
     f, n = _as_int(f, "a coefficient vector"), _as_int(n, "the vector length")
-    w = _as_int(w, "the slot width")
     if n < 1 or n & (n - 1):
         raise ValueError(f"vector length {n} is not a power of two")
-    if f < 0 or f.bit_length() > n * w:
+    if f < 0 or f.bit_length() > n:
         raise ValueError("coefficient vector overflows the stated length")
-    return f, n, w
+    return f, n
 
 
-def _convert(f: int, n: int, w: int, forward: bool) -> int:
-    """Convert the vector f of n slots of w bits: the levels of
-    _levels(lg n) in order, or their inverses in reverse order."""
-    f, n, w = _check_packed(f, n, w)
+def _convert(f: int, n: int, forward: bool) -> int:
+    """Convert the n-bit vector f: the levels of _levels(lg n) in order, or
+    their inverses in reverse order."""
+    f, n = _check_packed(f, n)
     m = (n - 1).bit_length()
-    total = n * w
     for mu, k, s in _levels(m) if forward else reversed(_levels(m)):
-        hb = w << s << (mu - 1)
-        d = hb - (w << s << (mu - 1 - k))
-        high = _high_mask(total, 2 * hb)
+        hb = 1 << (s + mu - 1)
+        d = hb - (1 << (s + mu - 1 - k))
+        high = _high_mask(n, 2 * hb)
         f = _radix_fwd(f, high, d) if forward else _radix_inv(f, high, d)
     return f
-

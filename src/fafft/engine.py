@@ -74,7 +74,6 @@ class _Layer:
 class _Plan:
     m: int
     layers: list[_Layer]
-    leaf_widths: np.ndarray  # orbit width per leaf, in leaf order
     leaf_max: np.ndarray  # uint64: largest value a leaf can hold, 2^width - 1
     leaf_width: int  # widest leaf
 
@@ -210,7 +209,7 @@ class LayeredEngine:
             )
         widths = sched[-1].width
         leaf_max = ~_U(0) >> (64 - widths).astype(_U)
-        return _Plan(m, layers, widths, leaf_max, int(widths.max()))
+        return _Plan(m, layers, leaf_max, int(widths.max()))
 
     # ----- transforms on novel-basis GF(2) coefficient vectors ----------
 

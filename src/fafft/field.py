@@ -31,7 +31,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["CantorField", "binru", "binrd"]
+__all__ = ["CantorField", "binru"]
 
 
 def _as_int(x, what: str) -> int:
@@ -49,17 +49,10 @@ def binru(x: int) -> int:
     return 1 if x <= 1 else 1 << (x - 1).bit_length()
 
 
-def binrd(x: int) -> int:
-    """Largest power of two <= x (x must be >= 1)."""
-    if x < 1:
-        raise ValueError("binrd needs x >= 1")
-    return 1 << (x.bit_length() - 1)
-
-
 # Masks over coordinate indices 0..63: _M0[t] keeps indices whose bit t is
 # clear.  Shifting an element right by 2^t and masking with _M0[t] moves every
 # coordinate with index bit t set onto its bit-t-cleared index, which is how
-# both split_by_u and the u_t products below are implemented.
+# the u_t products below are implemented.
 _M0 = []
 for _t in range(6):
     _m = 0
@@ -224,18 +217,6 @@ class CantorField:
             r ^= sq[low.bit_length() - 1]
             a ^= low
         return r
-
-    def split_by_u(self, a: int, j: int) -> tuple[int, int]:
-        """Write a = r0 + u_j * r1 with both halves free of u_j.
-
-        r0 collects coordinates whose index has bit j clear; r1 collects
-        those with bit j set, reindexed with that bit cleared.
-        """
-        self._check(a)
-        if not 0 <= j < self.K:
-            raise ValueError(f"split level {j} outside 0..{self.K - 1}")
-        m = _M0[j]
-        return a & m, (a >> (1 << j)) & m
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse, a^(2^d - 2)."""

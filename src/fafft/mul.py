@@ -15,8 +15,10 @@ Both halves of the pipeline around the lane products are GF(2)-linear.  Up
 to 2^10 product bits each half is applied as a Four-Russians table
 (Arlazarov et al. 1970): one gather per chunk of the operands or of the leaf
 products and an XOR reduce, in place of the per-depth array steps whose
-dispatch dominates at these sizes.  The tables come from two closed forms,
-not from running the conversion or the engine:
+dispatch dominates at these sizes.  Between them the leaf vector is the
+engine's, lanes in depth-first order, so the lane products are the engine
+path's.  The tables come from two closed forms, not from running the
+conversion or the engine:
 
 - forward: the pruned transform evaluates at the cross-section of W_m, so
   leaf k of x^j is sigma_k^j, a Vandermonde matrix;
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import from_novel, to_novel
-from .engine import LayeredEngine
+from .engine import LayeredEngine, _dtype
 from .field import _EXP16, _LOG16, _as_int, _mul_vec, _span
 from .subspace import subspace_coeffs
 from .transform import schedule
@@ -70,12 +72,13 @@ class _Tables:
     over the points W_m, the roots of s_m, or, with coset, over v_m + W_m,
     the roots of s_m + 1.
 
-    A leaf vector is packed widest first: the 16-bit leaves as uint16, then
-    one byte per leaf of at most 8 bits, zero-padded to whole uint64 words.
-    Row 2^c i + v of fwd holds the packed leaves of the operand whose only
+    A leaf vector is the engine's: the leaves of schedule(m)[-1] (over the
+    coset, those of schedule(m + 1)[-1] past W_m's) in depth-first order,
+    one lane each in the dtype of the widest leaf.  Row 2^c i + v of fwd
+    holds the leaf vector, as uint64 words, of the operand whose only
     nonzero chunk is v, at chunk i; row 2^c i + v of inv holds the product,
-    as uint64 words, of the packed leaf vector whose only nonzero chunk is v,
-    at chunk i.
+    as uint64 words, of the leaf vector whose only nonzero chunk is v, at
+    chunk i.
     """
 
     def __init__(self, m: int, coset: bool = False):
@@ -85,11 +88,10 @@ class _Tables:
         # W_m, whose alphas are all below 2^m.
         cs = schedule(m + coset)[-1]
         on = cs.alpha >> np.uint64(m) == coset
-        order = np.argsort(-cs.width[on], kind="stable")
-        widths, sigma = cs.width[on][order], cs.alpha[on][order]
-        self.n16 = n16 = int(np.count_nonzero(widths == 16))
-        self.nleaf_bytes = lb = n16 + len(widths)
-        words = (lb + 7) // 8
+        widths, sigma = cs.width[on], cs.alpha[on]
+        self.width = int(widths.max())
+        self.dtype = _dtype(self.width)
+        self.nleaves = len(widths)
         self.chunk = c = 8 if m <= 8 else 4
         # Leaf k of x^j is sigma_k^j: the transform evaluates at the
         # cross-section points sigma_k.  0^j is 1 at j = 0 and 0 after.
@@ -110,50 +112,36 @@ class _Tables:
         for i in range(m + 1):
             if bits >> i & 1:
                 r[: 1 << i] ^= fwd[(1 << i) - 1 :: -1]
-        start = 0
-        for w in (16, 8, 4, 2, 1):  # the slots hold descending widths
-            stop = start + int(np.count_nonzero(widths == w))
-            r[:, start:stop] = _trace_form(w, r[:, start:stop])
-            start = stop
-        self.fwd = _chunk_table(_pack(fwd, n16, words), c)
-        self.inv = _chunk_table(_transpose_bits(_pack(r, n16, words)[:, :lb]), c)
+        for w in set(widths.tolist()):
+            sel = widths == w
+            r[:, sel] = _trace_form(w, r[:, sel])
+        self.fwd = _chunk_table(fwd.astype(self.dtype).view(np.uint8), c)
+        self.inv = _chunk_table(_transpose_bits(r.astype(self.dtype).view(np.uint8)), c)
         self.fwd.setflags(write=False)
         self.inv.setflags(write=False)
         self.nbytes = (n + 7) // 8
         self._fwd_rows = np.tile(_chunk_offsets(self.nbytes, c), 2)
-        self._inv_rows = _chunk_offsets(lb, c)
+        self._inv_rows = _chunk_offsets(self.nleaves * self.dtype.itemsize, c)
 
     def leaves(self, a: int, b: int) -> np.ndarray:
-        """Packed leaves (uint8, one padded row each) of two operands of at
-        most 2^m bits."""
+        """The leaf vectors of two operands of at most 2^m bits, one row
+        each."""
         raw = a.to_bytes(self.nbytes, "little") + b.to_bytes(self.nbytes, "little")
         rows = _chunks(np.frombuffer(raw, dtype=np.uint8), self.chunk) + self._fwd_rows
         parts = np.take(self.fwd, rows, axis=0).reshape(2, len(rows) // 2, -1)
-        return np.bitwise_xor.reduce(parts, axis=1).view(np.uint8)
-
-    def pointwise(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        """Lane products of two packed leaf vectors: GF(2^16) logs on the
-        uint16 leaves, the GF(2^8) table on the bytes.  The tower is nested,
-        so a product of narrower leaves taken in GF(2^8) is their product."""
-        h, lb = 2 * self.n16, self.nleaf_bytes
-        if h == lb:  # the coset leaves are all 16 bits wide
-            return _mul_vec(va[:h].view(np.uint16), vb[:h].view(np.uint16), 16).view(np.uint8)
-        low = _mul_vec(va[h:lb], vb[h:lb], 8)
-        if not h:
-            return low
-        high = _mul_vec(va[:h].view(np.uint16), vb[:h].view(np.uint16), 16)
-        return np.concatenate((high.view(np.uint8), low))
+        return np.bitwise_xor.reduce(parts, axis=1).view(self.dtype)[:, : self.nleaves]
 
     def product(self, leaves: np.ndarray) -> int:
-        """The product whose packed leaf bytes are leaves."""
-        rows = _chunks(leaves[: self.nleaf_bytes], self.chunk) + self._inv_rows
+        """The product whose leaf vector is leaves."""
+        rows = _chunks(leaves.view(np.uint8), self.chunk) + self._inv_rows
         parts = np.take(self.inv, rows, axis=0)
         return int.from_bytes(np.bitwise_xor.reduce(parts, axis=0).tobytes(), "little")
 
     def mul(self, a: int, b: int) -> int:
         """ab mod s_m, or mod s_m + 1 over the coset, for a and b of at most
         2^m bits: interpolation over the points gives the residue."""
-        return self.product(self.pointwise(*self.leaves(a, b)))
+        va, vb = self.leaves(a, b)
+        return self.product(_mul_vec(va, vb, self.width))
 
 
 def _trace_form(w: int, y: np.ndarray) -> np.ndarray:
@@ -189,14 +177,6 @@ def _transpose_bits(x: np.ndarray) -> np.ndarray:
         w ^= t ^ (t << shift)
     out = w.astype("<u8").view(np.uint8).reshape(nbytes, -1, 8)
     return out.transpose(0, 2, 1).reshape(8 * nbytes, -1)
-
-
-def _pack(vals: np.ndarray, n16: int, words: int) -> np.ndarray:
-    """Rows of leaf values, one column per slot, as packed leaf bytes."""
-    out = np.zeros((len(vals), 8 * words), dtype=np.uint8)
-    out[:, : 2 * n16] = vals[:, :n16].astype(np.uint16).view(np.uint8)
-    out[:, 2 * n16 : n16 + vals.shape[1]] = vals[:, n16:]
-    return out
 
 
 def _chunk_table(units: np.ndarray, c: int) -> np.ndarray:

@@ -224,7 +224,7 @@ class FaftEngine:
 
 def to_novel_by_division(f: int, n: int) -> int:
     """Quadratic reference conversion by long division with the full s_k."""
-    f, n, _ = _check_packed(f, n, 1)
+    f, n = _check_packed(f, n)
 
     def rec(g: int, length: int) -> int:
         if length <= 2:

@@ -104,45 +104,6 @@ def test_evaluation_agreement(field):
             assert novel_eval(field, g, n, alpha) == poly_eval_gf2(field, f, alpha)
 
 
-def test_packed_matches_bit_planes(field):
-    rng = random.Random(25)
-    w = field.d
-    for n in (4, 32, 256):
-        coeffs = [rng.randrange(field.order) for _ in range(n)]
-        packed = 0
-        for i, c in enumerate(coeffs):
-            packed |= c << (i * w)
-        out = to_novel(packed, n, w)
-        back = from_novel(out, n, w)
-        assert back == packed
-        for b in range(w):
-            plane = 0
-            for i, c in enumerate(coeffs):
-                plane |= ((c >> b) & 1) << i
-            out_plane = 0
-            for i in range(n):
-                out_plane |= (((out >> (i * w)) >> b) & 1) << i
-            assert out_plane == to_novel(plane, n)
-
-
-def test_packed_at_square_width_matches_rows():
-    # w = n = 2^m: an n x n bit matrix, one coefficient vector per bit plane
-    rng = random.Random(27)
-    for m in range(0, 9):
-        n = 1 << m
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        packed = sum(((r >> i) & 1) << (i * n + j) for j, r in enumerate(rows) for i in range(n))
-
-        def plane(f, j):
-            return sum(((f >> (i * n + j)) & 1) << i for i in range(n))
-
-        fwd = to_novel(packed, n, n)
-        back = from_novel(packed, n, n)
-        for j, r in enumerate(rows):
-            assert plane(fwd, j) == to_novel(r, n)
-            assert plane(back, j) == from_novel(r, n)
-
-
 def _vector(data, max_m: int) -> tuple[int, int]:
     """A length-2^m vector, m <= max_m: all zeros, all ones, or random."""
     n = 1 << data.draw(st.integers(0, max_m), label="m")

@@ -9,7 +9,7 @@ from fafft.basis import to_novel
 from fafft.engine import LayeredEngine, _ConstMul
 from fafft.field import _mul_vec
 from fafft.reference import FaftEngine
-from fafft.transform import n_cross_section
+from fafft.transform import n_cross_section, schedule
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +128,14 @@ def test_pointwise_matches_field_mul(eng, lay):
 
 def test_leaf_count(lay):
     for m in range(0, 14):
-        p = lay.plan(m)
-        assert len(p.leaf_widths) == n_cross_section(m)
+        assert len(lay.plan(m).leaf_max) == n_cross_section(m)
 
 
 def test_widths_match_cross_section(eng, lay):
     for m in range(0, 12):
-        p = lay.plan(m)
-        pts = eng.cross_section(m)
-        assert p.leaf_widths.tolist() == [pt.orbit for pt in pts]
+        widths = schedule(m)[-1].width.tolist()
+        assert widths == [pt.orbit for pt in eng.cross_section(m)]
+        assert lay.plan(m).leaf_max.tolist() == [(1 << w) - 1 for w in widths]
 
 
 def test_lane_packing_roundtrip(lay):
@@ -161,7 +160,7 @@ def test_rejects_values_outside_their_fields(lay):
     with pytest.raises(ValueError):
         lay.forward(np.zeros(3, dtype=np.uint64), 2)
     p = lay.plan(5)
-    leaves = np.zeros(len(p.leaf_widths), dtype=np.uint64)
-    leaves[-1] = 1 << int(p.leaf_widths[-1])
+    leaves = np.zeros(len(p.leaf_max), dtype=np.uint64)
+    leaves[-1] = p.leaf_max[-1] + np.uint64(1)
     with pytest.raises(ValueError):
         lay.inverse(leaves, 5)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fafft.field import _EXP16, _LOG16, CantorField, _mul_by_u, _mul_vec, _mul_zeta, binru, binrd
+from fafft.field import _EXP16, _LOG16, CantorField, _mul_by_u, _mul_vec, _mul_zeta, binru
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +194,6 @@ def test_frobenius_preserves_subfields(field):
 
 
 # ---------------------------------------------------------------------------
-# split_by_u
-
-def test_split_examples(field):
-    # omega_3 = 1 + u_0 has no u_1 part
-    assert field.split_by_u(3, 1) == (3, 0)
-    # u_1 + u_0*u_1 = u_1*(1 + u_0), coordinates 12
-    assert field.split_by_u(12, 1) == (0, 3)
-    # omega_6 = u_0 + u_1
-    assert field.split_by_u(6, 1) == (2, 1)
-
-
-def test_split_join_roundtrip(field):
-    rng = random.Random(21)
-    for j in range(6):
-        for _ in range(50):
-            a = rng.getrandbits(64)
-            r0, r1 = field.split_by_u(a, j)
-            u = 1 << (1 << j)
-            assert r0 & ~((1 << 64) - 1) == 0
-            assert r0 | (r1 << (1 << j)) == a
-            # algebraic meaning: a = r0 + u_j * r1
-            assert r0 ^ field.mul(u, r1) == a
-
-
-# ---------------------------------------------------------------------------
 # inverse / pow
 
 def test_inverse_examples(field):
@@ -298,11 +273,8 @@ def test_mul_vec_matches_oracle(field):
 # ---------------------------------------------------------------------------
 # helpers
 
-def test_binru_binrd():
+def test_binru():
     assert [binru(x) for x in range(9)] == [1, 1, 2, 4, 4, 8, 8, 8, 8]
-    assert [binrd(x) for x in range(1, 9)] == [1, 2, 2, 4, 4, 4, 4, 8]
-    with pytest.raises(ValueError):
-        binrd(0)
 
 
 def test_bad_tower_height():

@@ -172,30 +172,9 @@ def lay():
     return LayeredEngine()
 
 
-def slot_order(m, coset=False):
-    """Depth-first leaf index of each table slot: widest leaves first.  The
-    coset's leaves follow W_m's in the tree at 2^(m+1) points."""
-    widths = schedule(m + coset)[-1].width[n_cross_section(m) if coset else 0 :]
-    return np.argsort(-widths, kind="stable")
-
-
-def unpack_leaves(m, packed, coset=False):
-    """Packed table leaves as uint64 values in the engine's leaf order."""
-    t = _tables(m, coset)
-    h = 2 * t.n16
-    vals = np.concatenate([packed[:h].view(np.uint16), packed[h : t.nleaf_bytes]])
-    out = np.empty(len(vals), dtype=np.uint64)
-    out[slot_order(m, coset)] = vals
-    return out
-
-
-def pack_leaves(m, leaves, coset=False):
-    """uint64 leaf values in the engine's order as packed table leaves."""
-    t = _tables(m, coset)
-    vals = leaves[slot_order(m, coset)]
-    return np.concatenate(
-        [vals[: t.n16].astype(np.uint16).view(np.uint8), vals[t.n16 :].astype(np.uint8)]
-    )
+def leaf_dtype(m):
+    """The engine's lane dtype for the leaves at 2^m points."""
+    return engine._dtype(int(schedule(m)[-1].width.max()))
 
 
 def test_input_table_matches_engine(lay):
@@ -207,34 +186,34 @@ def test_input_table_matches_engine(lay):
             lanes = np.stack([lay.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
             want = lay.forward(lanes, m)
             got = _tables(m).leaves(a, b)
-            for i in range(2):
-                assert unpack_leaves(m, got[i]).tolist() == want[i].tolist()
+            assert got.dtype == leaf_dtype(m)
+            assert got.astype(np.uint64).tolist() == want.tolist()
 
 
 def test_output_table_matches_engine(lay):
     rng = random.Random(71)
     for m in TABLE_MS:
         n = 1 << m
-        widths = lay.plan(m).leaf_widths.tolist()
+        widths = schedule(m)[-1].width.tolist()
         for _ in range(20):
             leaves = np.array([rng.getrandbits(w) for w in widths], dtype=np.uint64)
             want = from_novel(lay.lanes_to_bits(lay.inverse(leaves, m)), n)
-            assert _tables(m).product(pack_leaves(m, leaves)) == want
+            assert _tables(m).product(leaves.astype(leaf_dtype(m))) == want
 
 
 def test_closed_form_unit_images_match_engine(lay):
     # every leaf bit alone: the table rows are the closed-form images
     for m in TABLE_MS:
         n = 1 << m
-        widths = lay.plan(m).leaf_widths
+        widths = schedule(m)[-1].width
         leaf = np.repeat(np.arange(len(widths)), widths)
         bit = np.arange(n) - np.repeat(np.cumsum(widths) - widths, widths)
         units = np.zeros((n, len(widths)), dtype=np.uint64)
         units[np.arange(n), leaf] = np.uint64(1) << bit.astype(np.uint64)
         lanes = lay.inverse(units, m)
-        for u, row in zip(units, lanes):
+        for u, row in zip(units.astype(leaf_dtype(m)), lanes):
             want = from_novel(lay.lanes_to_bits(row), n)
-            assert _tables(m).product(pack_leaves(m, u)) == want
+            assert _tables(m).product(u) == want
 
 
 def test_split_leaves_match_engine(lay):
@@ -248,6 +227,7 @@ def test_split_leaves_match_engine(lay):
     assert top.alpha[:k].tolist() == below.alpha.tolist()
     assert top.width[:k].tolist() == below.width.tolist()
     assert _times_root(1) == (1 << 1024) | (1 << 256) | (1 << 4) | (1 << 1)  # s_10
+    assert _tables(m - 1, True).leaves(0, 0).dtype == leaf_dtype(m)
     rng = random.Random(74)
     for _ in range(20):
         a, b = rng.getrandbits(n), rng.getrandbits(n)
@@ -257,9 +237,8 @@ def test_split_leaves_match_engine(lay):
         assert a0 ^ _times_root(a0 ^ a1) == a  # a = q s_10 + r, q = a1 + a0
         low = _tables(m - 1).leaves(a0, b0)
         high = _tables(m - 1, True).leaves(a1, b1)
-        for i in range(2):
-            assert unpack_leaves(m - 1, low[i]).tolist() == want[i, :k].tolist()
-            assert unpack_leaves(m - 1, high[i], True).tolist() == want[i, k:].tolist()
+        assert low.astype(np.uint64).tolist() == want[:, :k].tolist()
+        assert high.astype(np.uint64).tolist() == want[:, k:].tolist()
 
 
 def test_split_inverse_matches_engine(lay):
@@ -268,14 +247,14 @@ def test_split_inverse_matches_engine(lay):
     # gives r0 = 0 and the product s_10 r1
     m, n = SPLIT_M, 1 << SPLIT_M
     k = n_cross_section(m - 1)
-    widths = lay.plan(m).leaf_widths
+    widths, dtype = schedule(m)[-1].width, leaf_dtype(m)
     coset = _tables(m - 1, True)
     rng = random.Random(75)
     for _ in range(20):
         leaves = np.array([rng.getrandbits(w) for w in widths.tolist()], dtype=np.uint64)
         want = from_novel(lay.lanes_to_bits(lay.inverse(leaves, m)), n)
-        r0 = _tables(m - 1).product(pack_leaves(m - 1, leaves[:k]))
-        r1 = coset.product(pack_leaves(m - 1, leaves[k:], True))
+        r0 = _tables(m - 1).product(leaves[:k].astype(dtype))
+        r1 = coset.product(leaves[k:].astype(dtype))
         assert r0 ^ _times_root(r0 ^ r1) == want
     leaf = np.repeat(np.arange(k, len(widths)), widths[k:])
     bit = np.tile(np.arange(16, dtype=np.uint64), len(widths) - k)
@@ -283,7 +262,7 @@ def test_split_inverse_matches_engine(lay):
     units[np.arange(len(leaf)), leaf] = np.uint64(1) << bit
     for u, row in zip(units, lay.inverse(units, m)):
         want = from_novel(lay.lanes_to_bits(row), n)
-        assert _times_root(coset.product(pack_leaves(m - 1, u[k:], True))) == want
+        assert _times_root(coset.product(u[k:].astype(dtype))) == want
 
 
 def test_table_path_never_touches_the_engine(monkeypatch):
