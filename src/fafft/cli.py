@@ -170,14 +170,25 @@ def _cmd_bench(args) -> int:
         for r in rows
     )
     sys.stdout.write(text)
-    if args.csv is not None:
-        args.csv.write_text(text)
+    if args.csv is not None and not _write(args.csv, text):
+        return 2
     if args.json is not None:
         import json
 
         record = {"machine": _machine(), "seed": args.seed, "reps": args.reps, "rows": rows}
-        args.json.write_text(json.dumps(record, indent=1) + "\n")
+        if not _write(args.json, json.dumps(record, indent=1) + "\n"):
+            return 2
     return 0
+
+
+def _write(path: Path, text: str) -> bool:
+    """Write text to path; False, with the reason on stderr, if that fails."""
+    try:
+        path.write_text(text)
+    except OSError as e:
+        print(f"cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        return False
+    return True
 
 
 def _machine() -> dict:
@@ -227,8 +238,8 @@ def _cmd_gen_circuit(args) -> int:
         return 2
     c = gen_mul_circuit(args.n, cse=not args.no_cse)
     print(f"and={c.and_count} xor={c.xor_count} total={c.and_count + c.xor_count}")
-    if args.out is not None:
-        args.out.write_text(c.to_slp())
+    if args.out is not None and not _write(args.out, c.to_slp()):
+        return 2
     return 0
 
 

@@ -18,11 +18,11 @@ a0 + a1*u_j and recurses with three half-width products (Karatsuba), using
 
     u_j^2 = u_j + zeta_j,      zeta_j = u_0*...*u_{j-1} = v_{2^j - 1}.
 
-The recursion bottoms out in a precomputed GF(256) table, and multiplication
-by the constants zeta_j has a dedicated shift/mask path that never calls the
-generic product routine.  Arrays of elements (the lanes of the transform
-engine) multiply by table lookups instead: the GF(256) table up to 8 bits,
-discrete logs over GF(2^16) up to 16 bits, Karatsuba halves above.
+The product by zeta_j = v_{2^j - 1} is one more half-width product.  One
+recursion serves ints and arrays (the lanes of the transform engine) alike:
+the GF(256) product table up to 8 bits, discrete logs over GF(2^16) up to 16
+bits, Karatsuba halves above.  Both tables are built at import from the tower
+relations alone, as shift/mask products by the generators u_t.
 """
 
 from __future__ import annotations
@@ -79,6 +79,15 @@ def _mul_zeta(x, t: int):
     return x
 
 
+def _times_v(x, i: int):
+    """Multiply x by v_i, the product of the generators u_t over the set bits
+    t of i.  Works on ints and uint64 arrays."""
+    for t in range(i.bit_length()):
+        if (i >> t) & 1:
+            x = _mul_by_u(x, t)
+    return x
+
+
 def _mul_vec(a, b, w: int):
     """Elementwise Cantor product of two width-w coordinate arrays.
 
@@ -117,65 +126,59 @@ def _span(cols) -> np.ndarray:
     return t
 
 
-def _build_tables():
-    """Precompute the GF(256) product table and zeta byte tables."""
-    v = np.arange(256, dtype=np.uint64)
-    # Row i holds v_i * b for every byte b; v_i is the product of the
-    # generators u_t over the set bits t of i.
-    rows = []
-    for i in range(8):
-        r = v
-        for t in range(3):
-            if (i >> t) & 1:
-                r = _mul_by_u(r, t)
-        rows.append(r)
-    byte_np = _span(rows).reshape(-1).astype(np.uint8)  # index (a << 8) | b
-    # _ZB[j][pos][v] = zeta_j * (v << 8*pos) for the widths where the scalar
-    # Karatsuba needs a fold: zeta_3 on 8-bit, zeta_4 on 16-bit, zeta_5 on
-    # 32-bit halves.
-    zb = {}
-    for j in (3, 4, 5):
-        zb[j] = [_mul_zeta(v << np.uint64(8 * pos), j).tolist() for pos in range((1 << j) // 8)]
-    return byte_np, byte_np.tolist(), zb
+# GF(256) product table at index (a << 8) | b: the span over the rows v_i * b
+_BYTE_NP = _span([_times_v(np.arange(256, dtype=np.uint64), i) for i in range(8)])
+_BYTE_NP = _BYTE_NP.reshape(-1).astype(np.uint8)
+_Q16 = (1 << 16) - 1  # order of GF(2^16)*
+_G16 = 0x102  # u_0 + u_3, a generator of GF(2^16)*
 
 
-_BYTE_NP, _BYTE, _ZB = _build_tables()
+def _build_log16():
+    """Discrete logs and powers of the generator _G16 of GF(2^16)*.
+
+    exp holds g^i for 0 <= i < 2q (q = 2^16 - 1), so the sum of two logs
+    needs no reduction mod q, and zeros from 2q on; log[0] = 2q sends every
+    product with a zero factor into the zeros.  The logs are int32, so an
+    array of gathered logs takes half the bytes; a sum of two stays below
+    4q + 1.
+    """
+    q = _Q16
+    pw = np.ones(1, dtype=np.uint64)  # pw[i] = g^i
+    # cols[i] = c * v_i for c = g^len(pw); x * c is GF(2)-linear in x, so it
+    # is one span table per byte of x, and c^2 is c applied to its own columns
+    cols = np.array([_times_v(_G16, i) for i in range(16)], dtype=np.uint64)
+    while len(pw) <= q:
+        lo, hi = _span(cols[:8]), _span(cols[8:])
+        pw = np.concatenate([pw, lo[pw & 0xFF] ^ hi[pw >> 8]])
+        cols = lo[cols & 0xFF] ^ hi[cols >> 8]
+    exp = np.zeros(4 * q + 1, dtype=np.uint16)
+    exp[:q] = exp[q : 2 * q] = pw[:q]
+    log = np.full(q + 1, 2 * q, dtype=np.int32)
+    log[pw[:q]] = np.arange(q)
+    if (log[1:] == 2 * q).any():
+        raise RuntimeError(f"{_G16:#x} does not generate GF(2^16)*")
+    return log, exp
 
 
-def _zeta_fold(x: int, h: int) -> int:
-    """Multiply x (an element of GF(2^h), h in {8, 16, 32}) by zeta_{lg h}."""
-    rows = _ZB[h.bit_length() - 1]
-    r = rows[0][x & 0xFF]
-    pos = 1
-    x >>= 8
-    while x:
-        r ^= rows[pos][x & 0xFF]
-        x >>= 8
-        pos += 1
-    return r
+_LOG16, _EXP16 = _build_log16()
 
 
 def _mul_int(a: int, b: int, w: int) -> int:
-    """Scalar Cantor product at width w (a power of two, >= 8)."""
-    if w == 8:
-        return _BYTE[(a << 8) | b]
+    """Scalar Cantor product at width w (a power of two): _mul_vec on ints."""
+    if w <= 8:
+        return _BYTE_NP.item((a << 8) | b)
+    if w <= 16:
+        return _EXP16.item(_LOG16.item(a) + _LOG16.item(b))
     h = w >> 1
     hm = (1 << h) - 1
     a0 = a & hm
     a1 = a >> h
     b0 = b & hm
     b1 = b >> h
-    if a1 == 0:
-        if b1 == 0:
-            return _mul_int(a0, b0, h)
-        # one operand confined to the half-size subfield: two products suffice
-        return _mul_int(a0, b0, h) | (_mul_int(a0, b1, h) << h)
-    if b1 == 0:
-        return _mul_int(a0, b0, h) | (_mul_int(a1, b0, h) << h)
     m0 = _mul_int(a0, b0, h)
     m1 = _mul_int(a1, b1, h)
     t = _mul_int(a0 ^ a1, b0 ^ b1, h)
-    return m0 ^ _zeta_fold(m1, h) ^ ((t ^ m0) << h)
+    return m0 ^ _mul_int(1 << (h - 1), m1, h) ^ ((t ^ m0) << h)  # zeta_{lg h} = v_{h-1}
 
 
 class CantorField:
@@ -203,9 +206,7 @@ class CantorField:
         """Product of two elements."""
         self._check(a)
         self._check(b)
-        if a < 256 and b < 256:
-            return _BYTE[(a << 8) | b]
-        return _mul_int(a, b, binru(max(a.bit_length(), b.bit_length())))
+        return _mul_int(a, b, binru((a | b).bit_length()))
 
     def frobenius(self, a: int) -> int:
         """a squared, evaluated through the precomputed bit matrix."""
@@ -230,49 +231,3 @@ class CantorField:
             sq = self.frobenius(sq)
             r = self.mul(r, sq)
         return r
-
-    def pow(self, a: int, e: int) -> int:
-        """a raised to a nonnegative integer power."""
-        self._check(a)
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
-
-
-def _build_log16():
-    """Discrete logs and powers of a generator g of GF(2^16)*.
-
-    exp holds g^i for 0 <= i < 2q (q = 2^16 - 1), so the sum of two logs
-    needs no reduction mod q, and zeros from 2q on; log[0] = 2q sends every
-    product with a zero factor into the zeros.  The logs are int32, so an
-    array of gathered logs takes half the bytes; a sum of two stays below
-    4q + 1.
-    """
-    f = CantorField(4)
-    q = f.order - 1
-    # g generates when g^(q/p) != 1 for each prime p of q; elements below
-    # 2^8 lie in GF(2^8)
-    g = next(
-        g for g in range(1 << 8, f.order) if all(f.pow(g, q // p) != 1 for p in (3, 5, 17, 257))
-    )
-    pw = np.ones(1, dtype=np.uint64)  # pw[i] = g^i
-    c = g  # g^len(pw)
-    while len(pw) <= q:
-        # x * c is GF(2)-linear in x: one span table per byte of x
-        cols = np.array([f.mul(c, 1 << i) for i in range(16)], dtype=np.uint64)
-        lo, hi = _span(cols[:8]), _span(cols[8:])
-        pw = np.concatenate([pw, lo[pw & 0xFF] ^ hi[pw >> 8]])
-        c = f.mul(c, c)
-    exp = np.zeros(4 * q + 1, dtype=np.uint16)
-    exp[:q] = exp[q : 2 * q] = pw[:q]
-    log = np.full(q + 1, 2 * q, dtype=np.int32)
-    log[pw[:q]] = np.arange(q)
-    return log, exp
-
-
-_LOG16, _EXP16 = _build_log16()

@@ -47,7 +47,7 @@ import numpy as np
 
 from .basis import from_novel, to_novel
 from .engine import LayeredEngine, _dtype
-from .field import _EXP16, _LOG16, _as_int, _mul_vec, _span
+from .field import _EXP16, _LOG16, _Q16, _as_int, _mul_vec, _span
 from .subspace import subspace_coeffs
 from .transform import schedule
 
@@ -56,7 +56,6 @@ __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
 _TABLE_MAX_M = 10  # up to 2^10 product bits one pair of tables, up to 2^11 two
-_Q16 = 65535  # order of GF(2^16)*
 _DELTA_SWAPS = tuple(
     (np.uint64(s), np.uint64(m))
     for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))

@@ -159,6 +159,23 @@ def test_gen_circuit_counts(capsys, tmp_path):
     assert out_file.read_text() == c.to_slp()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-circuit", "--n", "8", "--out"),
+        ("bench", "--min-log", "6", "--max-log", "6", "--reps", "1", "--csv"),
+        ("bench", "--min-log", "6", "--max-log", "6", "--reps", "1", "--json"),
+    ],
+    ids=["gen-circuit-out", "bench-csv", "bench-json"],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "f"
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {path}: ")
+    assert not path.exists()
+
+
 def test_gen_circuit_no_cse(capsys):
     code, out = run(capsys, "gen-circuit", "--n", "16", "--no-cse")
     assert code == 0
