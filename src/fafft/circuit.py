@@ -11,12 +11,12 @@ with transform.twiddles: the same lists the numeric pipeline runs.
 Wires are ints: 0 is the constant zero, 1..n the bits of operand a,
 n+1..2n the bits of b, then one ref per emitted gate.  The builder folds
 away trivial gates (x^x, x^0, x&x, x&0) and dedups identical gate pairs.
-Constant multiplications (twiddles, the zeta step inside Karatsuba) pass
-through a per-matrix template cache; with cse enabled the template rows are
-first reduced by greedy pair extraction (repeatedly materialize the XOR pair
-shared by the most rows).  A final dead-code sweep drops everything the
-product bits never read, including the inverse-stage work for coefficient
-slots above 2n-2.
+Constant multiplications (twiddles, the zeta step inside Karatsuba) replay
+an XOR template built once per constant and widths: the rows of the
+constant's GF(2) matrix, reduced by greedy pair extraction (repeatedly
+materialize the XOR pair shared by the most rows).  A final dead-code sweep
+drops everything the product bits never read, including the inverse-stage
+work for coefficient slots above 2n-2.
 
 The text form ("SLP") lists gates in dependency order followed by the output
 bindings; verify_slp replays it bitsliced (one big int per wire, one trial
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .basis import _levels
-from .field import CantorField, _as_int
+from .field import _as_int, _mul_int, binru
 from .transform import schedule, twiddles
 
 __all__ = [
@@ -168,53 +169,32 @@ def _paar_reduce(rows: tuple[int, ...], w_in: int):
             cols.append(low.bit_length() - 1)
             row ^= low
         outs.append(tuple(cols))
-    return steps, tuple(outs)
+    return tuple(steps), tuple(outs)
 
 
-class _MatrixCache:
-    """Emit out = M * x for constant GF(2) matrices, with template reuse."""
+@lru_cache(maxsize=None)
+def _template(c: int, w_in: int, w_out: int):
+    """_paar_reduce of the GF(2) rows of x -> c * x, for x of w_in and the
+    product of w_out coordinates; built once per key."""
+    w = binru(max(c.bit_length(), w_in))  # holds both factors, as CantorField.mul's width
+    cols = [_mul_int(c, 1 << j, w) for j in range(w_in)]
+    rows = tuple(sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(w_out))
+    return _paar_reduce(rows, w_in)
 
-    def __init__(self, bld: _Builder, cse: bool):
-        self.bld = bld
-        self.cse = cse
-        self.field = CantorField(6)
-        self._templates: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
-    def apply(self, rows: tuple[int, ...], w_in: int, x: list[int]) -> list[int]:
-        key = (w_in, rows)
-        tpl = self._templates.get(key)
-        if tpl is None:
-            if self.cse:
-                tpl = _paar_reduce(rows, w_in)
-            else:
-                outs = []
-                for row in rows:
-                    cols = [c for c in range(w_in) if (row >> c) & 1]
-                    outs.append(tuple(cols))
-                tpl = ((), tuple(outs))
-            self._templates[key] = tpl
-        steps, outs = tpl
-        vals = list(x)
-        for i, j in steps:
-            vals.append(self.bld.xor(vals[i], vals[j]))
-        out_refs = []
-        for cols in outs:
-            r = ZERO
-            for c in cols:
-                r = self.bld.xor(r, vals[c])
-            out_refs.append(r)
-        return out_refs
-
-    def mul_const(self, c: int, x: list[int], w_in: int, w_out: int) -> list[int]:
-        """c * x as a w_out-bit vector, x given by w_in coordinate wires."""
-        rows = []
-        cols = [self.field.mul(c, 1 << j) for j in range(w_in)]
-        for i in range(w_out):
-            mask = 0
-            for j in range(w_in):
-                mask |= ((cols[j] >> i) & 1) << j
-            rows.append(mask)
-        return self.apply(tuple(rows), w_in, x)
+def _mul_const(bld: _Builder, c: int, x: list[int], w_in: int, w_out: int) -> list[int]:
+    """c * x as a w_out-bit vector, x given by w_in coordinate wires."""
+    steps, outs = _template(c, w_in, w_out)
+    vals = list(x)
+    for i, j in steps:
+        vals.append(bld.xor(vals[i], vals[j]))
+    out_refs = []
+    for cols in outs:
+        r = ZERO
+        for k in cols:
+            r = bld.xor(r, vals[k])
+        out_refs.append(r)
+    return out_refs
 
 
 # ----- symbolic pipeline stages ------------------------------------------
@@ -244,7 +224,7 @@ def _radix_sym(
     return out
 
 
-def _trace_forward(bld, mats, m, coeffs: list[int]) -> list[list[int]]:
+def _trace_forward(bld, m, coeffs: list[int]) -> list[list[int]]:
     """Forward pruned transform on wires, one depth of schedule(m) at a
     time; returns lane ref-vectors in leaf order."""
     sched = schedule(m)
@@ -256,7 +236,7 @@ def _trace_forward(bld, mats, m, coeffs: list[int]) -> list[list[int]]:
         for vals, (_, _, w, trunc), tw in zip(segs, d.segments(), tws.tolist()):
             wc = child_width[len(nxt)]  # both children share a width
             p0, p1 = vals[:h], vals[h:]
-            q0 = [bld.xor_vec(_pad(a, wc), mats.mul_const(tw, b, w, wc)) for a, b in zip(p0, p1)]
+            q0 = [bld.xor_vec(_pad(a, wc), _mul_const(bld, tw, b, w, wc)) for a, b in zip(p0, p1)]
             nxt.append(q0)
             if not trunc:
                 nxt.append([bld.xor_vec(a, _pad(b, wc)) for a, b in zip(q0, p1)])
@@ -264,7 +244,7 @@ def _trace_forward(bld, mats, m, coeffs: list[int]) -> list[list[int]]:
     return [vals[0] for vals in segs]
 
 
-def _trace_inverse(bld, mats, m, lanes: list[list[int]]) -> list[int]:
+def _trace_inverse(bld, m, lanes: list[list[int]]) -> list[int]:
     """Inverse pruned transform on wires, from the leaves of schedule(m) up;
     returns 2^m single-bit coeff refs."""
     segs = [[v] for v in lanes]
@@ -278,23 +258,23 @@ def _trace_inverse(bld, mats, m, lanes: list[list[int]]) -> list[int]:
                 q0 = [q[:l] for q in q0]
             else:
                 p1 = [bld.xor_vec(a, b) for a, b in zip(q0, next(children))]
-            p0 = [bld.xor_vec(a, mats.mul_const(c, b, w, w)) for a, b in zip(q0, p1)]
+            p0 = [bld.xor_vec(a, _mul_const(bld, c, b, w, w)) for a, b in zip(q0, p1)]
             segs.append(p0 + p1)
     return [v[0] for v in segs[0]]
 
 
-def _lane_mul_sym(bld, mats, a: list[int], b: list[int], w: int) -> list[int]:
+def _lane_mul_sym(bld, a: list[int], b: list[int], w: int) -> list[int]:
     """Tower Karatsuba product of two w-wide wire vectors."""
     if w == 1:
         return [bld.and_(a[0], b[0])]
     h = w >> 1
     a0, a1 = a[:h], a[h:]
     b0, b1 = b[:h], b[h:]
-    m0 = _lane_mul_sym(bld, mats, a0, b0, h)
-    m1 = _lane_mul_sym(bld, mats, a1, b1, h)
-    t = _lane_mul_sym(bld, mats, bld.xor_vec(a0, a1), bld.xor_vec(b0, b1), h)
+    m0 = _lane_mul_sym(bld, a0, b0, h)
+    m1 = _lane_mul_sym(bld, a1, b1, h)
+    t = _lane_mul_sym(bld, bld.xor_vec(a0, a1), bld.xor_vec(b0, b1), h)
     zeta = 1 << (h - 1)  # v_{h-1} = zeta_{lg h}
-    zm1 = mats.mul_const(zeta, m1, h, h)
+    zm1 = _mul_const(bld, zeta, m1, h, h)
     low = bld.xor_vec(m0, zm1)
     high = bld.xor_vec(t, m0)
     return low + high
@@ -327,7 +307,7 @@ def _dead_code_sweep(n: int, gates, outputs):
     return new_gates, new_outputs
 
 
-def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
+def gen_mul_circuit(n: int) -> Circuit:
     """Circuit multiplying two n-bit GF(2)[x] polynomials (2n-1 outputs)."""
     n = _as_int(n, "operand bit count n")
     if n < 1:
@@ -336,7 +316,6 @@ def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
     m = (need - 1).bit_length()
     N = 1 << m
     bld = _Builder(n)
-    mats = _MatrixCache(bld, cse)
 
     levels = _levels(m)
 
@@ -344,13 +323,13 @@ def gen_mul_circuit(n: int, cse: bool = True) -> Circuit:
         refs = [base + i for i in range(n)] + [ZERO] * (N - n)
         for mu, k, s in levels:
             refs = _radix_sym(bld, refs, mu, k, 1 << s, True)
-        return _trace_forward(bld, mats, m, refs)
+        return _trace_forward(bld, m, refs)
 
     la = transform_side(1)
     lb = transform_side(n + 1)
     widths = schedule(m)[-1].width.tolist()
-    lanes = [_lane_mul_sym(bld, mats, _pad(a, w), _pad(b, w), w) for a, b, w in zip(la, lb, widths)]
-    poly = _trace_inverse(bld, mats, m, lanes)
+    lanes = [_lane_mul_sym(bld, _pad(a, w), _pad(b, w), w) for a, b, w in zip(la, lb, widths)]
+    poly = _trace_inverse(bld, m, lanes)
     for mu, k, s in reversed(levels):
         poly = _radix_sym(bld, poly, mu, k, 1 << s, False)
     outputs = poly[:need]
@@ -445,6 +424,9 @@ def eval_slp(circ: Circuit, a_bits: list[int], b_bits: list[int]) -> list[int]:
     return [wires[r] for r in circ.outputs]
 
 
+_EXHAUSTIVE_PAIRS = 1 << 16  # verify_slp tries every pair up to n = 8
+
+
 @dataclass
 class VerifyReport:
     n: int
@@ -458,23 +440,17 @@ class VerifyReport:
         return not self.failures
 
 
-def verify_slp(
-    circ: Circuit | str,
-    trials: int = 10_000,
-    seed: int = 0,
-    exhaustive_limit: int = 1 << 16,
-) -> VerifyReport:
+def verify_slp(circ: Circuit | str, trials: int = 10_000, seed: int = 0) -> VerifyReport:
     """Compare the circuit against the quadratic convolution on bitsliced
-    batches: every (a, b) pair when 2^(2n) fits the limit, otherwise edge
-    patterns plus random trials."""
+    batches: every (a, b) pair when there are at most _EXHAUSTIVE_PAIRS,
+    otherwise edge patterns plus random trials."""
     trials = _as_int(trials, "trials")
-    exhaustive_limit = _as_int(exhaustive_limit, "exhaustive_limit")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if isinstance(circ, str):
         circ = parse_slp(circ)
     n = circ.n
-    if 1 << (2 * n) <= exhaustive_limit:
+    if 1 << (2 * n) <= _EXHAUSTIVE_PAIRS:
         pairs = [(t >> n, t & ((1 << n) - 1)) for t in range(1 << (2 * n))]
         exhaustive = True
     else:

@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("gen-circuit", help="emit a multiplication circuit")
     q.add_argument("--n", type=int, required=True, help="operand bit width")
-    q.add_argument("--no-cse", action="store_true", help="skip shared-pair extraction")
     q.add_argument("--out", type=Path, default=None, help="write the SLP text here")
 
     q = sub.add_parser("verify-circuit", help="check an SLP against the convolution")
@@ -124,6 +123,8 @@ def _cmd_bench(args) -> int:
     if args.min_log > args.max_log or args.min_log < 4:
         print("need 4 <= min-log <= max-log", file=sys.stderr)
         return 2
+    if not all(_write(path, "") for path in (args.csv, args.json) if path is not None):
+        return 2  # a bad path exits before any product runs
     rng = random.Random(args.seed)
     methods = (
         ("fafft", mul_fafft),
@@ -236,7 +237,7 @@ def _cmd_gen_circuit(args) -> int:
     if args.n < 1:
         print("need n >= 1", file=sys.stderr)
         return 2
-    c = gen_mul_circuit(args.n, cse=not args.no_cse)
+    c = gen_mul_circuit(args.n)
     print(f"and={c.and_count} xor={c.xor_count} total={c.and_count + c.xor_count}")
     if args.out is not None and not _write(args.out, c.to_slp()):
         return 2
@@ -265,11 +266,8 @@ def _cmd_selftest(args) -> int:
     eng = FaftEngine(6)
 
     def check(name, cond):
-        if not cond:
-            print(f"check {name} FAILED")
-            return False
-        print(f"check {name} ok")
-        return True
+        print(f"check {name} {'ok' if cond else 'FAILED'}")
+        return cond
 
     ok = True
     for K in range(1, 7):  # commutativity, Frobenius and inverses at every height

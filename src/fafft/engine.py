@@ -61,7 +61,6 @@ class _Layer:
     length: int  # segment length entering this depth
     count: int  # segments at this depth
     rows: np.ndarray | None  # surviving rows of the (count * 2) children; None: all
-    width: int  # bits of a value at this depth, binru(max l)
     dtype: np.dtype  # holds the values at this depth
     child_dtype: np.dtype  # holds the values one depth down
     tw: _ConstMul  # times the twiddle s_{k-1}(alpha) of each segment
@@ -113,7 +112,6 @@ class _ConstMul:
 
     def __init__(self, t: np.ndarray, width: int):
         self.t = t
-        self.width = width
         self.prod_width = pw = binru(max(int(t.max()).bit_length(), width))
         if width == 1:
             self.form, self.consts = "int", (_narrow(t),)
@@ -198,7 +196,6 @@ class LayeredEngine:
                     length=1 << (m - depth),
                     count=len(trunc),
                     rows=rows,
-                    width=width,
                     dtype=_dtype(width),
                     child_dtype=child,
                     tw=_ConstMul(tw, width),

@@ -198,19 +198,21 @@ class CantorField:
     def __repr__(self):
         return f"CantorField(K={self.K})"
 
-    def _check(self, a: int) -> None:
+    def _check(self, a: int) -> int:
+        """a as a Python int, checked to be an element."""
+        a = _as_int(a, "a field element")
         if not 0 <= a <= self.mask:
             raise ValueError(f"element {a:#x} outside GF(2^{self.d})")
+        return a
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements."""
-        self._check(a)
-        self._check(b)
+        a, b = self._check(a), self._check(b)
         return _mul_int(a, b, binru((a | b).bit_length()))
 
     def frobenius(self, a: int) -> int:
         """a squared, evaluated through the precomputed bit matrix."""
-        self._check(a)
+        a = self._check(a)
         r = 0
         sq = self._sq
         while a:
@@ -221,7 +223,7 @@ class CantorField:
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse, a^(2^d - 2)."""
-        self._check(a)
+        a = self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         # exponent 2^d - 2 = sum of 2^i for i = 1..d-1

@@ -66,13 +66,13 @@ class FaftEngine:
     def afft(self, k: int, coeffs: list[int], alpha: int = 0) -> list[int]:
         """Evaluate the subspace-product polynomial at alpha + W_k."""
         self._check_size(k, coeffs)
-        self.field._check(alpha)
+        alpha = self.field._check(alpha)
         return self._afft(k, list(coeffs), alpha)
 
     def iafft(self, k: int, values: list[int], alpha: int = 0) -> list[int]:
         """Inverse of afft."""
         self._check_size(k, values)
-        self.field._check(alpha)
+        alpha = self.field._check(alpha)
         return self._iafft(k, list(values), alpha)
 
     def _afft(self, k, p, alpha):

@@ -87,7 +87,7 @@ class TwiddleTable:
         """s_j(alpha) for any field element alpha."""
         if not 0 <= j < self.field.d:
             raise ValueError(f"twiddle level {j} outside 0..{self.field.d - 1}")
-        self.field._check(alpha)
+        alpha = self.field._check(alpha)
         row = self.rows[j]
         r = 0
         while alpha:

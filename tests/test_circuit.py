@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fafft.circuit import (
     Circuit,
     _paar_reduce,
+    _template,
     eval_slp,
     gen_mul_circuit,
     parse_slp,
@@ -104,31 +105,33 @@ def test_and_gates_only_in_lane_products():
         assert c.and_count == want
 
 
-def test_cse_never_hurts():
-    for n in (4, 16, 40):
-        with_cse = gen_mul_circuit(n, cse=True)
-        without = gen_mul_circuit(n, cse=False)
-        assert with_cse.and_count == without.and_count
-        assert with_cse.xor_count <= without.xor_count
-        assert verify_slp(without, trials=500).ok
-
-
-# Exact (AND, XOR) totals with and without CSE, so that a change to the
-# generator cannot move them unnoticed.
+# Exact (AND, XOR) totals, so that a change to the generator cannot move
+# them unnoticed.
 _PINNED_GATES = {
-    4: ((10, 46), (10, 46)),
-    16: ((86, 602), (86, 616)),
-    33: ((410, 3825), (410, 4071)),
-    128: ((842, 10972), (842, 11863)),
-    256: ((2138, 27495), (2138, 29936)),
+    4: (10, 46),
+    16: (86, 602),
+    33: (410, 3825),
+    128: (842, 10972),
+    256: (2138, 27495),
 }
 
 
 @pytest.mark.parametrize("n", sorted(_PINNED_GATES))
 def test_pinned_gate_counts(n):
-    for cse, want in zip((True, False), _PINNED_GATES[n]):
-        c = gen_mul_circuit(n, cse=cse)
-        assert (c.and_count, c.xor_count) == want
+    c = gen_mul_circuit(n)
+    assert (c.and_count, c.xor_count) == _PINNED_GATES[n]
+
+
+def test_templates_outlive_a_call():
+    # the constant-multiply templates are cached across calls: a warm
+    # generation builds none and emits the same circuit as a cold one
+    for n in (33, 65):
+        _template.cache_clear()
+        cold = gen_mul_circuit(n)
+        built = _template.cache_info().misses
+        warm = gen_mul_circuit(n)
+        assert _template.cache_info().misses == built
+        assert (warm.gates, warm.outputs) == (cold.gates, cold.outputs)
 
 
 def test_slp_roundtrip():

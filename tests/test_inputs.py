@@ -47,9 +47,12 @@ BAD = {
     "division float": (lambda: to_novel_by_division(1.0, 4), TypeError, "float"),
     "field height bool": (lambda: CantorField(True), TypeError, "bool"),
     "field height float": (lambda: CantorField(6.0), TypeError, "float"),
+    "field element bool": (lambda: CantorField(6).mul(True, 5), TypeError, "bool"),
+    "field element float": (lambda: CantorField(6).mul(3, 5.0), TypeError, "float"),
+    "twiddle point bool": (lambda: ORACLE.twiddles.twiddle(0, True), TypeError, "bool"),
+    "afft point float": (lambda: ORACLE.afft(1, [0, 1], 1.0), TypeError, "float"),
     "verify trials bool": (lambda: verify_slp(gen_mul_circuit(9), trials=True), TypeError, "bool"),
     "verify trials float": (lambda: verify_slp(gen_mul_circuit(9), trials=2.5), TypeError, "float"),
-    "verify limit bool": (lambda: verify_slp("", exhaustive_limit=True), TypeError, "bool"),
     # size exponents are checked before any cache, where True would hit m = 1
     "count_ops bool": (lambda: count_ops(True), TypeError, "bool"),
     "n_cross_section bool": (lambda: n_cross_section(True), TypeError, "bool"),
@@ -87,5 +90,8 @@ def test_integer_likes_accepted():
     n = gen_mul_circuit(np.int64(2)).n
     assert n == 2 and type(n) is int
     assert CantorField(np.int64(6)).order == 1 << 64
+    f = CantorField(6)
+    assert f.mul(np.uint8(3), np.uint8(5)) == 15  # no uint8 wraparound
+    assert f.mul(np.int64(300), 5) == f.mul(300, 5)
     top = LAY.plan(9).leaf_max.astype(np.uint16)  # every leaf at its largest value
     assert LAY.pointwise(top, top, 9).dtype == np.uint64
