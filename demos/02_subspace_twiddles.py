@@ -15,7 +15,7 @@ field = CantorField(6)
 # coefficient on x^(2^i).
 print("coefficient support of s_k (on exponents 2^i):")
 for k in range(5):
-    bits = subspace_coeffs(k).bits
+    bits = subspace_coeffs(k)
     terms = " + ".join(f"x^{1 << i}" for i in range(bits.bit_length()) if (bits >> i) & 1)
     print(f"  s_{k} = {terms}")
 

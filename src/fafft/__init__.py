@@ -39,21 +39,18 @@ from .circuit import (
 from .engine import LayeredEngine
 from .field import CantorField, binru
 from .mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
-from .subspace import SubspaceCoeffs, TwiddleTable, eval_subspace, subspace_coeffs
-from .reference import FaftEngine, FaftResult
-from .transform import CrossSectionPoint, OpCounters, count_ops, n_cross_section
+from .subspace import TwiddleTable, eval_subspace, subspace_coeffs
+from .reference import FaftEngine
+from .transform import OpCounters, count_ops, n_cross_section
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CantorField",
     "Circuit",
-    "CrossSectionPoint",
     "FaftEngine",
-    "FaftResult",
     "LayeredEngine",
     "OpCounters",
-    "SubspaceCoeffs",
     "TwiddleTable",
     "VerifyReport",
     "binru",

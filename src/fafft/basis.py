@@ -6,8 +6,7 @@ exactly the polynomials of degree below 2^k.  Conversion of a length-2^m
 coefficient vector takes k, the largest power of two below m, rewrites the
 input in radix y = s_k(x) = x^(2^k) + x, converts the outer vector of
 y-coefficients, then converts each y-coefficient in place.
-_levels flattens that recursion into one list of radix levels, which
-_convert walks here and circuit.gen_mul_circuit walks on wires.
+_levels flattens that recursion into one list of radix levels.
 
 Everything here operates on a GF(2) vector packed in one int, bit i the
 coefficient of slot i.  The radix rewrite is a fold: dividing by
@@ -15,7 +14,8 @@ y^A = x^(2H) + x^A (H and A in slots, A = H / 2^k <= H / 2) moves the top
 half down by H - A slots at most twice before the remainder settles, and
 because the fold is oblivious to the data it runs on every block of the
 packed vector simultaneously under a periodic mask.  No per-block Python
-loop survives.
+loop survives.  _folds(n) holds each level's fold, and _convert applies
+them to ints here and to wires (circuit._Wires) in the circuit generator.
 
 reference.to_novel_by_division is the straightforward quadratic rewrite
 (long division by the full s_k), kept as the tests' cross-check.
@@ -30,7 +30,6 @@ from .field import _as_int
 __all__ = ["to_novel", "from_novel"]
 
 
-@lru_cache(maxsize=256)
 def _high_mask(total: int, seg: int) -> int:
     """Mask selecting the high half of every seg-bit segment of a total-bit int."""
     h = seg >> 1
@@ -54,7 +53,19 @@ def _levels(m: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((mu, k, 0) for mu in range(m, k, -1)) + outer + _levels(k)
 
 
-def _radix_fwd(f: int, high: int, d: int) -> int:
+@lru_cache(maxsize=None)
+def _folds(n: int) -> tuple[tuple[int, int], ...]:
+    """(high, d) of every level (mu, k, s) of _levels(lg n), in forward
+    order: H = 2^(s + mu - 1) slots, high masks the high half of every
+    2H-slot segment, and d = H - A."""
+    levels = _levels((n - 1).bit_length())
+    high = {s + mu: _high_mask(n, 1 << (s + mu)) for mu, _, s in levels}  # one per H
+    return tuple(
+        (high[s + mu], (1 << (s + mu - 1)) - (1 << (s + mu - 1 - k))) for mu, k, s in levels
+    )
+
+
+def _radix_fwd(f, high: int, d: int):
     """Write every segment of f as q * y^A + r, y^A = x^(2H) + x^A, and
     store [r | q].
 
@@ -69,7 +80,7 @@ def _radix_fwd(f: int, high: int, d: int) -> int:
     return r ^ ((r & high) >> d) ^ h
 
 
-def _radix_inv(f: int, high: int, d: int) -> int:
+def _radix_inv(f, high: int, d: int):
     """Undo _radix_fwd: rebuild q * (x^(2H) + x^A) + r."""
     return f ^ ((f & high) >> d)
 
@@ -77,12 +88,12 @@ def _radix_inv(f: int, high: int, d: int) -> int:
 def to_novel(f: int, n: int) -> int:
     """Convert a GF(2)[x] polynomial of length n, bit i the coeff of x^i,
     to the subspace-product basis."""
-    return _convert(f, n, forward=True)
+    return _convert(*_check_packed(f, n), forward=True)
 
 
 def from_novel(g: int, n: int) -> int:
     """Inverse of to_novel."""
-    return _convert(g, n, forward=False)
+    return _convert(*_check_packed(g, n), forward=False)
 
 
 def _check_packed(f: int, n: int) -> tuple[int, int]:
@@ -96,14 +107,10 @@ def _check_packed(f: int, n: int) -> tuple[int, int]:
     return f, n
 
 
-def _convert(f: int, n: int, forward: bool) -> int:
-    """Convert the n-bit vector f: the levels of _levels(lg n) in order, or
-    their inverses in reverse order."""
-    f, n = _check_packed(f, n)
-    m = (n - 1).bit_length()
-    for mu, k, s in _levels(m) if forward else reversed(_levels(m)):
-        hb = 1 << (s + mu - 1)
-        d = hb - (1 << (s + mu - 1 - k))
-        high = _high_mask(n, 2 * hb)
+def _convert(f, n: int, forward: bool):
+    """The folds of _folds(n) on the n-slot vector f in order, or their
+    inverses in reverse order."""
+    folds = _folds(n)
+    for high, d in folds if forward else reversed(folds):
         f = _radix_fwd(f, high, d) if forward else _radix_inv(f, high, d)
     return f

@@ -4,9 +4,11 @@ The multiplication pipeline is GF(2)-linear everywhere except the lane
 products, so a circuit falls out of running the pipeline symbolically: basis
 conversion and butterfly stages become XOR networks, and each cross-section
 lane gets one tower Karatsuba multiplier (all of the circuit's AND gates,
-3^lg(w) for a width-w lane).  The conversion walks the radix levels of
-basis._levels and the butterflies walk transform.schedule depth by depth,
-with transform.twiddles: the same lists the numeric pipeline runs.
+3^lg(w) for a width-w lane).  The conversion is basis._convert itself,
+run on _Wires (wire refs standing for the bits of a packed vector), so the
+folds of basis._folds apply to ints there and to wires here; the
+butterflies walk transform.schedule depth by depth, with
+transform.twiddles: the same lists the numeric pipeline runs.
 
 Wires are ints: 0 is the constant zero, 1..n the bits of operand a,
 n+1..2n the bits of b, then one ref per emitted gate.  The builder folds
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .basis import _levels
+from .basis import _convert
 from .field import _as_int, _mul_int, binru
 from .transform import schedule, twiddles
 
@@ -200,28 +202,30 @@ def _mul_const(bld: _Builder, c: int, x: list[int], w_in: int, w_out: int) -> li
 # ----- symbolic pipeline stages ------------------------------------------
 
 
-def _radix_sym(
-    bld: _Builder, slots: list[int], mu: int, k: int, wu: int, forward: bool
-) -> list[int]:
-    """One radix level of the basis conversion (basis._radix_fwd or
-    _radix_inv) on wire refs, with H and A counted in refs (units of wu)."""
-    out = list(slots)
-    h = wu << (mu - 1)
-    a = wu << (mu - 1 - k)
-    xor = bld.xor_vec
-    for s in range(0, len(out), 2 * h):
-        lo, hi = out[s : s + h], out[s + h : s + 2 * h]
-        r = lo[:a] + xor(lo[a:], hi[: h - a])
-        if forward:
-            # divide lo + x^H hi by y^A = x^H + x^A, layout [r | q]: the
-            # spill of hi << A beyond the half mark folds in once more
-            spill = hi[h - a :]
-            r[a : 2 * a] = xor(r[a : 2 * a], spill)
-            hi = xor(hi[:a], spill) + hi[a:]
-        else:
-            hi = xor(hi[:a], hi[h - a :]) + hi[a:]
-        out[s : s + 2 * h] = r + hi
-    return out
+class _Wires:
+    """Wire refs standing for a packed GF(2) vector, ref i for bit i, so
+    that basis._convert runs its folds on them: & keeps the slots an int
+    mask selects, >> shifts slots down, ^ adds slotwise through the
+    builder."""
+
+    __slots__ = ("bld", "refs")
+
+    def __init__(self, bld: _Builder, refs: list[int]):
+        self.bld = bld
+        self.refs = refs
+
+    def __and__(self, mask: int) -> _Wires:
+        bits = format(mask, f"0{len(self.refs)}b")[::-1]
+        return _Wires(self.bld, [r if b == "1" else ZERO for r, b in zip(self.refs, bits)])
+
+    def __rshift__(self, d: int) -> _Wires:
+        return _Wires(self.bld, self.refs[d:] + [ZERO] * d)
+
+    def __xor__(self, other: _Wires) -> _Wires:
+        xor = self.bld.xor  # which folds ZERO too; the tests here skip the call
+        pairs = zip(self.refs, other.refs, strict=True)
+        refs = [y if x == ZERO else x if y == ZERO else xor(x, y) for x, y in pairs]
+        return _Wires(self.bld, refs)
 
 
 def _trace_forward(bld, m, coeffs: list[int]) -> list[list[int]]:
@@ -317,22 +321,16 @@ def gen_mul_circuit(n: int) -> Circuit:
     N = 1 << m
     bld = _Builder(n)
 
-    levels = _levels(m)
-
     def transform_side(base: int) -> list[list[int]]:
         refs = [base + i for i in range(n)] + [ZERO] * (N - n)
-        for mu, k, s in levels:
-            refs = _radix_sym(bld, refs, mu, k, 1 << s, True)
-        return _trace_forward(bld, m, refs)
+        return _trace_forward(bld, m, _convert(_Wires(bld, refs), N, True).refs)
 
     la = transform_side(1)
     lb = transform_side(n + 1)
     widths = schedule(m)[-1].width.tolist()
     lanes = [_lane_mul_sym(bld, _pad(a, w), _pad(b, w), w) for a, b, w in zip(la, lb, widths)]
-    poly = _trace_inverse(bld, m, lanes)
-    for mu, k, s in reversed(levels):
-        poly = _radix_sym(bld, poly, mu, k, 1 << s, False)
-    outputs = poly[:need]
+    poly = _convert(_Wires(bld, _trace_inverse(bld, m, lanes)), N, False)
+    outputs = poly.refs[:need]
     gates, outputs = _dead_code_sweep(n, bld.gates, outputs)
     return Circuit(n, gates, outputs)
 

@@ -34,13 +34,13 @@ def _hex_poly(s: str) -> int:
     return v
 
 
-def _count(s: str) -> int:
+def _count(s: str, least: int = 0) -> int:
     try:
         v = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{s!r} is not an integer")
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+    if v < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}")
     return v
 
 
@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--min-log", type=int, default=14, help="smallest product size, log2 bits")
     q.add_argument("--max-log", type=int, default=18, help="largest product size, log2 bits")
     q.add_argument(
-        "--reps", type=int, default=3, help="timed rounds, each one call per size and method"
+        "--reps", type=lambda s: _count(s, 1), default=3,
+        help="timed rounds, each one call per size and method",
     )
     q.add_argument("--csv", type=Path, default=None, help="also write the CSV here")
     q.add_argument(
@@ -144,7 +145,7 @@ def _cmd_bench(args) -> int:
     # call before each timed one gives it the caches of back-to-back calls,
     # not those the previous point left.
     times = [[] for _ in points]
-    for _ in range(max(args.reps, 1)):
+    for _ in range(args.reps):
         for ts, (_, _, f, a, b) in zip(times, points):
             f(a, b)
             t0 = time.perf_counter()
@@ -237,6 +238,8 @@ def _cmd_gen_circuit(args) -> int:
     if args.n < 1:
         print("need n >= 1", file=sys.stderr)
         return 2
+    if args.out is not None and not _write(args.out, ""):
+        return 2  # a bad path exits before the circuit is generated
     c = gen_mul_circuit(args.n)
     print(f"and={c.and_count} xor={c.xor_count} total={c.and_count + c.xor_count}")
     if args.out is not None and not _write(args.out, c.to_slp()):

@@ -107,7 +107,7 @@ class _Tables:
         # the trace Tr_w(c(sigma) R_j(sigma)), and bit j of the image of leaf
         # k, bit b, is Tr_w(v_b R_j(sigma_k)).
         r = np.zeros_like(fwd)
-        bits = subspace_coeffs(m).bits
+        bits = subspace_coeffs(m)
         for i in range(m + 1):
             if bits >> i & 1:
                 r[: 1 << i] ^= fwd[(1 << i) - 1 :: -1]
@@ -208,7 +208,7 @@ def _tables(m: int, coset: bool = False) -> _Tables:
 
 # the exponents of the terms of s_10 = x^1024 + x^256 + x^4 + x
 _ROOT_TERMS = tuple(
-    1 << i for i in range(_TABLE_MAX_M + 1) if subspace_coeffs(_TABLE_MAX_M).bits >> i & 1
+    1 << i for i in range(_TABLE_MAX_M + 1) if subspace_coeffs(_TABLE_MAX_M) >> i & 1
 )
 
 

@@ -231,7 +231,7 @@ def to_novel_by_division(f: int, n: int) -> int:
             return g
         half = length >> 1
         k = half.bit_length() - 1
-        bits = subspace_coeffs(k).bits  # s_k = sum of x^(2^i) over set bits i
+        bits = subspace_coeffs(k)  # s_k = sum of x^(2^i) over set bits i
         s = sum(1 << (1 << i) for i in range(bits.bit_length()) if bits >> i & 1)
         degs, q, r = 1 << k, 0, g
         while r.bit_length() > degs:

@@ -12,33 +12,27 @@ v_k, and for power-of-two k collapses to x^(2^k) + x.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .field import CantorField, _span
 
-__all__ = ["SubspaceCoeffs", "subspace_coeffs", "eval_subspace", "TwiddleTable"]
+__all__ = ["subspace_coeffs", "eval_subspace", "TwiddleTable"]
 
 
-class SubspaceCoeffs(NamedTuple):
-    k: int
-    bits: int  # bit i = coefficient of x^(2^i)
-
-
-def subspace_coeffs(k: int) -> SubspaceCoeffs:
-    """Coefficient vector of s_k, driven purely by the recursion."""
+def subspace_coeffs(k: int) -> int:
+    """Coefficient vector of s_k (bit i the coefficient of x^(2^i)), driven
+    purely by the recursion."""
     if k < 0:
         raise ValueError("subspace index must be nonnegative")
     bits = 1
     for _ in range(k):
         bits = (bits << 1) ^ bits
-    return SubspaceCoeffs(k, bits)
+    return bits
 
 
 def eval_subspace(field: CantorField, k: int, a: int) -> int:
     """Evaluate s_k(a) by accumulating Frobenius iterates of a."""
-    bits = subspace_coeffs(k).bits
+    bits = subspace_coeffs(k)
     r = 0
     power = a
     while bits:

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fafft.basis import _convert, from_novel, to_novel
 from fafft.circuit import (
     Circuit,
+    _Builder,
     _paar_reduce,
+    _Wires,
     _template,
     eval_slp,
     gen_mul_circuit,
@@ -103,6 +106,29 @@ def test_and_gates_only_in_lane_products():
         eng = FaftEngine(6)
         want = sum(3 ** (p.orbit.bit_length() - 1) for p in eng.cross_section(m))
         assert c.and_count == want
+
+
+def _bitslice(vectors: list[int], n: int) -> list[int]:
+    """Slot i of every n-bit vector, trial t in bit t."""
+    return [sum((v >> i & 1) << t for t, v in enumerate(vectors)) for i in range(n)]
+
+
+@pytest.mark.parametrize("m", range(12))
+def test_conversion_on_wires_matches_basis(m):
+    # basis._convert run on wire refs emits an XOR network whose slot j,
+    # replayed on a vector, is slot j of to_novel (from_novel) of it
+    n = 1 << m
+    rng = random.Random(m)
+    vectors = [rng.getrandbits(n) for _ in range(64)]
+    for forward, convert in ((True, to_novel), (False, from_novel)):
+        bld = _Builder(n)
+        out = _convert(_Wires(bld, list(range(1, n + 1))), n, forward)
+        wires = [0] + _bitslice(vectors, n) + [0] * n  # b's refs stay unread
+        for op, x, y in bld.gates:
+            assert op == "XOR"
+            wires.append(wires[x] ^ wires[y])
+        got = [wires[r] for r in out.refs]
+        assert got == _bitslice([convert(v, n) for v in vectors], n)
 
 
 # Exact (AND, XOR) totals, so that a change to the generator cannot move

@@ -172,7 +172,11 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     def no_product(a, b):
         raise AssertionError("a product ran before the path was checked")
 
+    def no_circuit(n):
+        raise AssertionError("a circuit was generated before the path was checked")
+
     monkeypatch.setattr("fafft.cli.mul_fafft", no_product)
+    monkeypatch.setattr("fafft.cli.gen_mul_circuit", no_circuit)
     path = tmp_path / "missing" / "f"
     assert main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
@@ -247,6 +251,8 @@ def test_usage_errors():
         ["mul", "--a", "1", "--b", "1", "--method", "fft"],
         ["--k", "6", "selftest"],  # no field option: GF(2^64) serves every size
         ["gen-circuit", "--n", "16", "--no-cse"],  # pair extraction always runs
+        ["bench", "--reps", "0"],
+        ["bench", "--reps", "-3"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
