@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _BYTE_NP, _EXP16, _LOG16, _mul_vec, binru
+from .field import _BYTE_NP, _EXP16, _LOG16, _as_int, _mul_vec, binru
 from .transform import _check_m, schedule, twiddles
 
 __all__ = ["LayeredEngine"]
@@ -275,7 +275,11 @@ class LayeredEngine:
 
     @staticmethod
     def bits_to_lanes(f: int, n: int) -> np.ndarray:
-        """Unpack an n-bit GF(2) coefficient int into uint8 lanes."""
+        """Unpack an n-bit GF(2) coefficient int into uint8 lanes; ValueError
+        unless 0 <= f < 2^n."""
+        f, n = _as_int(f, "a coefficient int"), _as_int(n, "a lane count")
+        if n < 0 or f < 0 or f >> n:
+            raise ValueError(f"need n >= 0 and a coefficient int in 0..2^n - 1, n = {n}")
         raw = np.frombuffer(f.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
         return np.unpackbits(raw, count=n, bitorder="little")
 

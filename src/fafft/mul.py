@@ -28,13 +28,13 @@ conversion or the engine:
   coefficients, so over one Frobenius orbit the terms are conjugates and
   sum to a trace.
 
-A direct table at 2^11 bits would take 4 MiB.  Products of 2^10 + 1 to
-2^11 bits instead take the root butterfly's split: the transform's first
-step sends a polynomial to its residues mod s_10 and mod s_10 + 1, which
-are evaluated over W_10 and over its coset v_10 + W_10.  The m = 10 tables
-multiply the first residues, and a 1 MiB pair of tables over the coset,
-built from the same closed forms, the second; the Chinese remainder
-theorem joins the two.
+Past the direct tables the product takes the root butterfly's split: with
+k = m - 1, s_m = s_k (s_k + 1), and the transform's first step sends a
+polynomial to its residues mod s_k and mod s_k + 1, evaluated over W_k and
+over its coset v_k + W_k.  The first product recurses, the second takes
+tables of the same closed forms over the coset, and the Chinese remainder
+theorem joins the two.  So 2^11 bits take the 2^10 tables and a 1 MiB pair
+over v_10 + W_10, not a 4 MiB direct table.
 
 The tests hold all the tables to the engine.
 """
@@ -55,7 +55,7 @@ __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
-_TABLE_MAX_M = 10  # up to 2^10 product bits one pair of tables, up to 2^11 two
+_TABLE_MAX_M = 10  # the largest direct tables; one split past them reaches 2^11 bits
 _DELTA_SWAPS = tuple(
     (np.uint64(s), np.uint64(m))
     for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
@@ -66,10 +66,11 @@ _LAYERED = LayeredEngine()
 
 
 class _Tables:
-    """The two linear halves of the pipeline at 2^m bits (m <= 10) as
-    Four-Russians tables over c-bit chunks (c = 8 up to m = 8, else 4),
-    over the points W_m, the roots of s_m, or, with coset, over v_m + W_m,
-    the roots of s_m + 1.
+    """The two linear halves of the pipeline at 2^m bits as Four-Russians
+    tables over c-bit chunks (c = 8 up to m = 8, else 4), over the points
+    W_m, the roots of s_m, or, with coset, over v_m + W_m, the roots of
+    s_m + 1.  Any m builds; products run m <= _TABLE_MAX_M, and the coset
+    at _TABLE_MAX_M alone, for the root split past it.
 
     A leaf vector is the engine's: the leaves of schedule(m)[-1] (over the
     coset, those of schedule(m + 1)[-1] past W_m's) in depth-first order,
@@ -107,10 +108,8 @@ class _Tables:
         # the trace Tr_w(c(sigma) R_j(sigma)), and bit j of the image of leaf
         # k, bit b, is Tr_w(v_b R_j(sigma_k)).
         r = np.zeros_like(fwd)
-        bits = subspace_coeffs(m)
-        for i in range(m + 1):
-            if bits >> i & 1:
-                r[: 1 << i] ^= fwd[(1 << i) - 1 :: -1]
+        for e in _terms(m):
+            r[:e] ^= fwd[e - 1 :: -1]
         for w in set(widths.tolist()):
             sel = widths == w
             r[:, sel] = _trace_form(w, r[:, sel])
@@ -206,48 +205,50 @@ def _tables(m: int, coset: bool = False) -> _Tables:
     return _Tables(m, coset)
 
 
-# the exponents of the terms of s_10 = x^1024 + x^256 + x^4 + x
-_ROOT_TERMS = tuple(
-    1 << i for i in range(_TABLE_MAX_M + 1) if subspace_coeffs(_TABLE_MAX_M) >> i & 1
-)
+@lru_cache(maxsize=None)
+def _terms(k: int) -> tuple[int, ...]:
+    """The exponents 2^i of the terms x^(2^i) of s_k, lowest first."""
+    bits = subspace_coeffs(k)
+    return tuple(1 << i for i in range(k + 1) if bits >> i & 1)
 
 
-def _times_root(t: int) -> int:
-    """t(x) s_10(x), one shift-XOR per term of s_10."""
+def _times_s(t: int, k: int) -> int:
+    """t(x) s_k(x), one shift-XOR per term of s_k."""
     out = 0
-    for e in _ROOT_TERMS:
+    for e in _terms(k):
         out ^= t << e
     return out
 
 
-def _residues(a: int) -> tuple[int, int]:
-    """a mod s_10 and a mod (s_10 + 1), for a of at most 2^11 bits.
+def _residues(a: int, k: int) -> tuple[int, int]:
+    """a mod s_k and a mod (s_k + 1), for a of at most 2^(k+1) bits.
 
-    With a = q s_10 + r, a mod (s_10 + 1) = q + r.  A fold a + h s_10,
-    h = a >> 2^10, clears the bits from 2^10 up but carries up to 2^8 bits
-    past 2^10 again; their fold stays below 2^9 bits and settles r, as in
-    basis._radix_fwd.
+    With a = q s_k + r, a mod (s_k + 1) = q + r.  A fold a + h s_k,
+    h = a >> 2^k, clears the bits from 2^k up; the next term of s_k, at most
+    x^(2^(k-1)), carries fewer than 2^(k-1) bits past 2^k again, and their
+    fold settles r, as in basis._radix_fwd.
     """
-    n = _ROOT_TERMS[-1]
-    q = a >> n
-    r = a ^ _times_root(q)
-    h = r >> n
-    r ^= _times_root(h)
+    q = a >> (1 << k)
+    r = a ^ _times_s(q, k)
+    h = r >> (1 << k)
+    r ^= _times_s(h, k)
     return r, r ^ q ^ h
 
 
-def _mul_split(a: int, b: int) -> int:
-    """The product of at most 2^11 bits from the root butterfly's split.
+def _mul_mod(m: int, a: int, b: int) -> int:
+    """ab mod s_m for a and b of at most 2^m bits, as _Tables(m).mul.
 
-    At 2^11 points the root splits the evaluations into W_10, where s_10
-    vanishes, and v_10 + W_10, where it is 1, so the leaves under each child
-    are those of the residues mod s_10 and mod s_10 + 1.  One table product
-    each gives the product's residues r0 and r1, and c = r0 + s_10 (r0 + r1)
-    is r0 mod s_10, r1 mod s_10 + 1 and below 2^11 bits.
+    Past the tables the root splits the points into W_k (k = m - 1), where
+    s_k vanishes, and v_k + W_k, where it is 1: the children's leaves are
+    those of the residues mod s_k and mod s_k + 1.  Their products r0 and r1
+    join as c = r0 + s_k (r0 + r1): r0 mod s_k, r1 mod s_k + 1, below 2^m bits.
     """
-    (a0, a1), (b0, b1) = _residues(a), _residues(b)
-    r0 = _tables(_TABLE_MAX_M).mul(a0, b0)
-    return r0 ^ _times_root(r0 ^ _tables(_TABLE_MAX_M, True).mul(a1, b1))
+    if m <= _TABLE_MAX_M:
+        return _tables(m).mul(a, b)
+    k = m - 1
+    (a0, a1), (b0, b1) = _residues(a, k), _residues(b, k)
+    r0 = _mul_mod(k, a0, b0)
+    return r0 ^ _times_s(r0 ^ _tables(k, True).mul(a1, b1), k)
 
 
 def _check_operands(a, b) -> tuple[int, int]:
@@ -315,10 +316,8 @@ def mul_fafft(a: int, b: int) -> int:
         return 0
     need = a.bit_length() + b.bit_length() - 1
     m = (need - 1).bit_length()
-    if m <= _TABLE_MAX_M:
-        c = _tables(m).mul(a, b)
-    elif m == _TABLE_MAX_M + 1:
-        c = _mul_split(a, b)
+    if m <= _TABLE_MAX_M + 1:
+        c = _mul_mod(m, a, b)
     else:
         # The leaves below come from the forward transform, so they lie in
         # their orbit subfields; they skip pointwise's check of that.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import CantorField, _span
+from .field import CantorField, _as_int, _span
 
 __all__ = ["subspace_coeffs", "eval_subspace", "TwiddleTable"]
 
@@ -22,6 +22,7 @@ __all__ = ["subspace_coeffs", "eval_subspace", "TwiddleTable"]
 def subspace_coeffs(k: int) -> int:
     """Coefficient vector of s_k (bit i the coefficient of x^(2^i)), driven
     purely by the recursion."""
+    k = _as_int(k, "subspace index")
     if k < 0:
         raise ValueError("subspace index must be nonnegative")
     bits = 1
@@ -34,7 +35,7 @@ def eval_subspace(field: CantorField, k: int, a: int) -> int:
     """Evaluate s_k(a) by accumulating Frobenius iterates of a."""
     bits = subspace_coeffs(k)
     r = 0
-    power = a
+    power = field._check(a)
     while bits:
         if bits & 1:
             r ^= power
@@ -42,6 +43,14 @@ def eval_subspace(field: CantorField, k: int, a: int) -> int:
         if bits:
             power = field.frobenius(power)
     return r
+
+
+def _index(x, d: int, what: str) -> int:
+    """x as an int; TypeError unless an integer, ValueError unless in 0..d-1."""
+    x = _as_int(x, what)
+    if not 0 <= x < d:
+        raise ValueError(f"{what} {x} outside 0..{d - 1}")
+    return x
 
 
 class TwiddleTable:
@@ -75,14 +84,13 @@ class TwiddleTable:
 
     def value(self, j: int, i: int) -> int:
         """s_j(v_i)."""
-        return self.rows[j][i]
+        d = self.field.d
+        return self.rows[_index(j, d, "twiddle level")][_index(i, d, "basis index")]
 
     def twiddle(self, j: int, alpha: int) -> int:
         """s_j(alpha) for any field element alpha."""
-        if not 0 <= j < self.field.d:
-            raise ValueError(f"twiddle level {j} outside 0..{self.field.d - 1}")
+        row = self.rows[_index(j, self.field.d, "twiddle level")]
         alpha = self.field._check(alpha)
-        row = self.rows[j]
         r = 0
         while alpha:
             low = alpha & -alpha

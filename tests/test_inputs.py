@@ -12,7 +12,10 @@ from fafft import (
     count_ops,
     from_novel,
     gen_mul_circuit,
+    TwiddleTable,
+    eval_subspace,
     n_cross_section,
+    subspace_coeffs,
     to_novel,
     verify_slp,
 )
@@ -21,6 +24,8 @@ from fafft.transform import cross_section, schedule
 
 LAY = LayeredEngine()
 ORACLE = FaftEngine(6)
+GF4, GF16 = CantorField(1), CantorField(2)
+T1, T2 = TwiddleTable(GF4), TwiddleTable(GF16)
 
 
 def leaves(m, value=0, dtype=np.uint64):
@@ -70,6 +75,28 @@ BAD = {
     "pointwise float": (pointwise(9, 1, np.float64), ValueError, "unsigned"),
     "pointwise bool": (pointwise(3, True, bool), ValueError, "unsigned"),
     "inverse signed": (lambda: LAY.inverse(leaves(9, 0, np.int64), 9), ValueError, "unsigned"),
+    # indices that would wrap around or run off the rows, and an element
+    # that s_0 = x would hand back unchecked
+    "twiddle value level -1": (lambda: T2.value(-1, 0), ValueError, "level"),
+    "twiddle value index -1": (lambda: T2.value(0, -1), ValueError, "index"),
+    "twiddle value level d": (lambda: T1.value(2, 0), ValueError, "level"),
+    "twiddle value index d": (lambda: T1.value(0, 2), ValueError, "index"),
+    "twiddle value float": (lambda: T2.value(0, 1.0), TypeError, "float"),
+    "twiddle level bool": (lambda: T1.twiddle(True, 1), TypeError, "bool"),
+    "subspace_coeffs bool": (lambda: subspace_coeffs(True), TypeError, "bool"),
+    "subspace_coeffs float": (lambda: subspace_coeffs(2.0), TypeError, "float"),
+    "eval_subspace 999 in GF(4)": (lambda: eval_subspace(GF4, 0, 999), ValueError, "outside"),
+    "eval_subspace negative": (lambda: eval_subspace(GF16, 0, -5), ValueError, "outside"),
+    "eval_subspace bool": (lambda: eval_subspace(GF16, 1, True), TypeError, "bool"),
+    # lane packing kept only the low n bits
+    "bits_to_lanes 3 in 1 bit": (lambda: LAY.bits_to_lanes(3, 1), ValueError, "2\\^n"),
+    "bits_to_lanes 0xff in 4 bits": (lambda: LAY.bits_to_lanes(0xFF, 4), ValueError, "2\\^n"),
+    "bits_to_lanes 2^20 in 8 bits": (lambda: LAY.bits_to_lanes(1 << 20, 8), ValueError, "2\\^n"),
+    "bits_to_lanes negative": (lambda: LAY.bits_to_lanes(-1, 8), ValueError, "2\\^n"),
+    "bits_to_lanes negative n": (lambda: LAY.bits_to_lanes(0, -1), ValueError, "n >= 0"),
+    "bits_to_lanes bool": (lambda: LAY.bits_to_lanes(True, 8), TypeError, "bool"),
+    "bits_to_lanes n bool": (lambda: LAY.bits_to_lanes(1, True), TypeError, "bool"),
+    "bits_to_lanes float": (lambda: LAY.bits_to_lanes(1.0, 8), TypeError, "float"),
 }
 
 
@@ -93,5 +120,8 @@ def test_integer_likes_accepted():
     f = CantorField(6)
     assert f.mul(np.uint8(3), np.uint8(5)) == 15  # no uint8 wraparound
     assert f.mul(np.int64(300), 5) == f.mul(300, 5)
+    assert LAY.bits_to_lanes(np.uint64(5), np.int64(3)).tolist() == [1, 0, 1]
+    assert LAY.bits_to_lanes(0, 0).tolist() == []
+    assert T1.value(np.int64(1), np.uint8(1)) == 1 and subspace_coeffs(np.int64(2)) == 0b101
     top = LAY.plan(9).leaf_max.astype(np.uint16)  # every leaf at its largest value
     assert LAY.pointwise(top, top, 9).dtype == np.uint64

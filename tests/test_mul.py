@@ -12,15 +12,19 @@ from fafft import engine, transform
 from fafft.basis import from_novel, to_novel
 from fafft.engine import LayeredEngine
 from fafft.mul import (
+    _mul_mod,
     _residues,
     _tables,
-    _times_root,
+    _times_s,
     mul,
     mul_fafft,
     mul_karatsuba,
     mul_schoolbook,
 )
-from fafft.transform import n_cross_section, schedule
+from fafft.subspace import subspace_coeffs
+from fafft.transform import schedule
+
+mul_module = importlib.import_module("fafft.mul")
 
 
 def conv_naive(a: int, b: int) -> int:
@@ -165,6 +169,7 @@ def test_dispatch():
 
 TABLE_MS = range(0, 11)
 SPLIT_M = 11  # split at the root into the m = 10 tables and the coset table
+SPLIT_MS = range(1, SPLIT_M + 1)
 
 
 @pytest.fixture(scope="module")
@@ -216,58 +221,92 @@ def test_closed_form_unit_images_match_engine(lay):
             assert _tables(m).product(u) == want
 
 
-def test_split_leaves_match_engine(lay):
-    # the root's children at 2^11 points: the first holds the leaves of
-    # W_10, the second those of v_10 + W_10, of the residues mod s_10 and
-    # mod s_10 + 1
-    m, n = SPLIT_M, 1 << SPLIT_M
-    k = n_cross_section(m - 1)
+def s_poly(k):
+    """s_k as a packed int, from its coefficient vector."""
+    bits = subspace_coeffs(k)
+    return sum(1 << (1 << i) for i in range(k + 1) if bits >> i & 1)
+
+
+def test_residues_reconstruct():
+    assert _times_s(1, 10) == (1 << 1024) | (1 << 256) | (1 << 4) | (1 << 1)  # s_10
+    rng = random.Random(76)
+    for k in range(11):
+        n, s_k = 1 << k, s_poly(k)
+        assert _times_s(1, k) == s_k
+        edges = [0, 1, (1 << 2 * n) - 1, 1 << (2 * n - 1), s_k, s_k ^ 1]
+        for a in edges + [rng.getrandbits(2 * n) for _ in range(20)]:
+            r, r1 = _residues(a, k)
+            assert r >> n == 0 and r1 >> n == 0
+            assert r ^ _times_s(r ^ r1, k) == a  # a = q s_k + r, q = r + r'
+
+
+@pytest.mark.parametrize("m", SPLIT_MS)
+def test_split_leaves_match_engine(lay, m, monkeypatch):
+    # the root's children at 2^m points: the first holds the leaves of
+    # W_(m-1), the second those of v_(m-1) + W_(m-1), of the residues mod
+    # s_(m-1) and mod s_(m-1) + 1; the split product is the engine's
+    monkeypatch.setattr(mul_module, "_TABLE_MAX_M", m - 1)
+    n = 1 << m
     top, below = schedule(m)[-1], schedule(m - 1)[-1]
-    assert k == 84 and len(top.alpha) == 148
+    k = len(below.alpha)
     assert top.alpha[:k].tolist() == below.alpha.tolist()
     assert top.width[:k].tolist() == below.width.tolist()
-    assert _times_root(1) == (1 << 1024) | (1 << 256) | (1 << 4) | (1 << 1)  # s_10
+    assert _tables(m - 1, True).nleaves == len(top.alpha) - k
     assert _tables(m - 1, True).leaves(0, 0).dtype == leaf_dtype(m)
     rng = random.Random(74)
     for _ in range(20):
         a, b = rng.getrandbits(n), rng.getrandbits(n)
         lanes = np.stack([lay.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
         want = lay.forward(lanes, m)
-        (a0, a1), (b0, b1) = _residues(a), _residues(b)
-        assert a0 ^ _times_root(a0 ^ a1) == a  # a = q s_10 + r, q = a1 + a0
+        (a0, a1), (b0, b1) = _residues(a, m - 1), _residues(b, m - 1)
         low = _tables(m - 1).leaves(a0, b0)
         high = _tables(m - 1, True).leaves(a1, b1)
         assert low.astype(np.uint64).tolist() == want[:, :k].tolist()
         assert high.astype(np.uint64).tolist() == want[:, k:].tolist()
+        c = from_novel(lay.lanes_to_bits(lay.inverse(lay.pointwise(*want, m), m)), n)
+        assert _mul_mod(m, a, b) == c  # ab mod s_m
 
 
-def test_split_inverse_matches_engine(lay):
-    # r0 + s_10 (r0 + r1) from the two tables' products is the engine's
-    # inverse over all 148 leaves; a unit leaf bit under v_10 + W_10 alone
-    # gives r0 = 0 and the product s_10 r1
-    m, n = SPLIT_M, 1 << SPLIT_M
-    k = n_cross_section(m - 1)
+@pytest.mark.parametrize("m", SPLIT_MS)
+def test_split_inverse_matches_engine(lay, m, monkeypatch):
+    # r0 + s_(m-1) (r0 + r1) from the two tables' products is the engine's
+    # inverse over all leaves; a unit leaf bit under v_(m-1) + W_(m-1) alone
+    # gives r0 = 0 and the product s_(m-1) r1
+    monkeypatch.setattr(mul_module, "_TABLE_MAX_M", m - 1)
+    n = 1 << m
+    k = len(schedule(m - 1)[-1].alpha)
     widths, dtype = schedule(m)[-1].width, leaf_dtype(m)
-    coset = _tables(m - 1, True)
+    below, coset = _tables(m - 1), _tables(m - 1, True)
     rng = random.Random(75)
     for _ in range(20):
         leaves = np.array([rng.getrandbits(w) for w in widths.tolist()], dtype=np.uint64)
         want = from_novel(lay.lanes_to_bits(lay.inverse(leaves, m)), n)
-        r0 = _tables(m - 1).product(leaves[:k].astype(dtype))
+        r0 = below.product(leaves[:k].astype(below.dtype))  # narrower below m = 10
         r1 = coset.product(leaves[k:].astype(dtype))
-        assert r0 ^ _times_root(r0 ^ r1) == want
-    leaf = np.repeat(np.arange(k, len(widths)), widths[k:])
-    bit = np.tile(np.arange(16, dtype=np.uint64), len(widths) - k)
+        assert r0 ^ _times_s(r0 ^ r1, m - 1) == want
+    high = widths[k:]
+    leaf = np.repeat(np.arange(k, len(widths)), high)
+    bit = np.arange(high.sum()) - np.repeat(np.cumsum(high) - high, high)
     units = np.zeros((len(leaf), len(widths)), dtype=np.uint64)
-    units[np.arange(len(leaf)), leaf] = np.uint64(1) << bit
+    units[np.arange(len(leaf)), leaf] = np.uint64(1) << bit.astype(np.uint64)
     for u, row in zip(units, lay.inverse(units, m)):
         want = from_novel(lay.lanes_to_bits(row), n)
-        assert _times_root(coset.product(u[k:].astype(dtype))) == want
+        assert _times_s(coset.product(u[k:].astype(dtype)), m - 1) == want
+
+
+def test_split_recursion_matches_tables(monkeypatch):
+    # with no direct tables past 2^0 bits, _mul_mod(m) splits m times down
+    # to the 1-bit table
+    rng = random.Random(77)
+    monkeypatch.setattr(mul_module, "_TABLE_MAX_M", 0)
+    for m in TABLE_MS:
+        n = 1 << m
+        for _ in range(10):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            assert _mul_mod(m, a, b) == _tables(m).mul(a, b)
 
 
 def test_table_path_never_touches_the_engine(monkeypatch):
-    mul_module = importlib.import_module("fafft.mul")
-
     def fail(*args):
         raise AssertionError("the table path ran the engine or the conversion")
 

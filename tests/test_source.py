@@ -1,9 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import random
 from pathlib import Path
 
 import fafft
+from fafft import FaftEngine, LayeredEngine, mul_schoolbook
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_asserts_in_package():
@@ -45,9 +50,8 @@ def test_only_the_front_ends_import_the_oracle():
 
 def test_benchmark_harness_names_are_exported():
     # perfbench/ reaches the package only through these names
-    root = Path(__file__).resolve().parent.parent / "perfbench"
     used = set()
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(PERFBENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "fafft":
                 used.update(a.name for a in node.names)
@@ -55,3 +59,18 @@ def test_benchmark_harness_names_are_exported():
                 used.add(node.attr)
     assert used, "no fafft imports found under perfbench/"
     assert sorted(used - set(fafft.__all__)) == []
+
+
+def test_benchmark_harness_calls_run(monkeypatch):
+    # perfbench/ also calls methods on the engines: staged_mul runs every
+    # LayeredEngine stage (the --trace 1 path), transform_counts reads the
+    # oracle's cross-section orbits
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    lay = LayeredEngine(FaftEngine(6))
+    rng = random.Random(5)
+    for m in (8, 12, 14):
+        lay.plan(m)
+        a, b = rng.getrandbits(1 << (m - 1)), rng.getrandbits(1 << (m - 1))
+        assert layers.staged_mul(lay, a, b, layers.Tracer()) == mul_schoolbook(a, b)
+    assert layers.transform_counts(FaftEngine(6), 12)["leaves"] > 0
