@@ -14,11 +14,12 @@ Wires are ints: 0 is the constant zero, 1..n the bits of operand a,
 n+1..2n the bits of b, then one ref per emitted gate.  The builder folds
 away trivial gates (x^x, x^0, x&x, x&0) and dedups identical gate pairs.
 Constant multiplications (twiddles, the zeta step inside Karatsuba) replay
-an XOR template built once per constant and widths: the rows of the
-constant's GF(2) matrix, reduced by greedy pair extraction (repeatedly
-materialize the XOR pair shared by the most rows).  A final dead-code sweep
-drops everything the product bits never read, including the inverse-stage
-work for coefficient slots above 2n-2.
+an XOR template built once per constant and widths: the columns of the
+constant's GF(2) matrix, each the set of output rows an input coordinate
+feeds, reduced by greedy pair extraction (repeatedly materialize the XOR of
+the two columns that the most rows share).  A final dead-code sweep drops
+everything the product bits never read, including the inverse-stage work
+for coefficient slots above 2n-2.
 
 The text form ("SLP") lists gates in dependency order followed by the output
 bindings; verify_slp replays it bitsliced (one big int per wire, one trial
@@ -30,6 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+
+import numpy as np
 
 from .basis import _convert
 from .field import _as_int, _mul_int, binru
@@ -122,18 +125,14 @@ def _pad(refs: list[int], w: int) -> list[int]:
 # ----- constant-matrix templates ----------------------------------------
 
 
-def _paar_reduce(rows: tuple[int, ...], w_in: int):
-    """Greedy pair extraction over XOR rows (masks over w_in columns).
+def _paar_reduce(occ: list[int], nrows: int):
+    """Greedy pair extraction over XOR columns: occ[c] is the set of the
+    nrows output rows that read input column c, as a bitmask.
 
     Returns (steps, outs): steps materialize new columns as XORs of earlier
     column pairs, outs lists the column indices each output row XORs.
     """
-    occ = [0] * w_in
-    for r, row in enumerate(rows):
-        for c in range(w_in):
-            if (row >> c) & 1:
-                occ[c] |= 1 << r
-    rows_l = list(rows)
+    occ = list(occ)
     steps: list[tuple[int, int]] = []
     while True:
         best_score = 1
@@ -151,37 +150,20 @@ def _paar_reduce(rows: tuple[int, ...], w_in: int):
             break
         i, j = best
         shared = occ[i] & occ[j]
-        new = len(occ)
         steps.append((i, j))
         occ[i] &= ~shared
         occ[j] &= ~shared
         occ.append(shared)
-        pair = (1 << i) | (1 << j)
-        rr = shared
-        while rr:
-            low = rr & -rr
-            r = low.bit_length() - 1
-            rows_l[r] = (rows_l[r] & ~pair) | (1 << new)
-            rr ^= low
-    outs = []
-    for row in rows_l:
-        cols = []
-        while row:
-            low = row & -row
-            cols.append(low.bit_length() - 1)
-            row ^= low
-        outs.append(tuple(cols))
-    return tuple(steps), tuple(outs)
+    outs = tuple(tuple(c for c, s in enumerate(occ) if s >> r & 1) for r in range(nrows))
+    return tuple(steps), outs
 
 
 @lru_cache(maxsize=None)
 def _template(c: int, w_in: int, w_out: int):
-    """_paar_reduce of the GF(2) rows of x -> c * x, for x of w_in and the
-    product of w_out coordinates; built once per key."""
+    """_paar_reduce of the GF(2) columns of x -> c * x, for x of w_in and
+    the product of w_out coordinates; built once per key."""
     w = binru(max(c.bit_length(), w_in))  # holds both factors, as CantorField.mul's width
-    cols = [_mul_int(c, 1 << j, w) for j in range(w_in)]
-    rows = tuple(sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(w_out))
-    return _paar_reduce(rows, w_in)
+    return _paar_reduce([_mul_int(c, 1 << j, w) & ((1 << w_out) - 1) for j in range(w_in)], w_out)
 
 
 def _mul_const(bld: _Builder, c: int, x: list[int], w_in: int, w_out: int) -> list[int]:
@@ -285,30 +267,23 @@ def _lane_mul_sym(bld, a: list[int], b: list[int], w: int) -> list[int]:
 
 
 def _dead_code_sweep(n: int, gates, outputs):
+    """Drop the gates no output reads and renumber the rest; a gate reads
+    only earlier refs, so one pass from the last gate back finds them."""
     first = 2 * n + 1
-    live = [False] * len(gates)
-    stack = [r for r in outputs if r >= first]
-    while stack:
-        r = stack.pop()
-        i = r - first
-        if live[i]:
-            continue
-        live[i] = True
-        for x in gates[i][1:]:
-            if x >= first:
-                stack.append(x)
-    remap = {}
+    live = [False] * (first + len(gates))
+    for r in outputs:
+        live[r] = True
+    for r in reversed(range(first, len(live))):
+        if live[r]:
+            _, x, y = gates[r - first]
+            live[x] = live[y] = True
+    new_ref = list(range(first))  # old ref -> new ref; dead gates' entries go unread
     new_gates = []
-    for i, g in enumerate(gates):
-        if not live[i]:
-            continue
-        op, x, y = g
-        x = remap.get(x, x)
-        y = remap.get(y, y)
-        new_gates.append((op, x, y))
-        remap[first + i] = first + len(new_gates) - 1
-    new_outputs = [remap.get(r, r) for r in outputs]
-    return new_gates, new_outputs
+    for (op, x, y), keep in zip(gates, live[first:]):
+        if keep:
+            new_gates.append((op, new_ref[x], new_ref[y]))
+        new_ref.append(first + len(new_gates) - 1)
+    return new_gates, [new_ref[r] for r in outputs]
 
 
 def gen_mul_circuit(n: int) -> Circuit:
@@ -422,6 +397,15 @@ def eval_slp(circ: Circuit, a_bits: list[int], b_bits: list[int]) -> list[int]:
     return [wires[r] for r in circ.outputs]
 
 
+def _planes(vals: list[int], n: int) -> list[int]:
+    """Bit planes of n-bit ints: plane i holds bit i of vals[t] in bit t."""
+    nbytes = (n + 7) >> 3
+    rows = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in vals), np.uint8)
+    bits = np.unpackbits(rows.reshape(len(vals), nbytes), axis=1, bitorder="little")[:, :n]
+    planes = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(p.tobytes(), "little") for p in planes]
+
+
 _EXHAUSTIVE_PAIRS = 1 << 16  # verify_slp tries every pair up to n = 8
 
 
@@ -462,12 +446,8 @@ def verify_slp(circ: Circuit | str, trials: int = 10_000, seed: int = 0) -> Veri
         )
         exhaustive = False
     lanes = len(pairs)
-    a_bits = [0] * n
-    b_bits = [0] * n
-    for t, (a, b) in enumerate(pairs):
-        for i in range(n):
-            a_bits[i] |= ((a >> i) & 1) << t
-            b_bits[i] |= ((b >> i) & 1) << t
+    a_bits = _planes([a for a, _ in pairs], n)
+    b_bits = _planes([b for _, b in pairs], n)
     got = eval_slp(circ, a_bits, b_bits)
     # bitsliced quadratic convolution
     want = [0] * (2 * n - 1)

@@ -285,8 +285,10 @@ class LayeredEngine:
 
     @staticmethod
     def lanes_to_bits(lanes: np.ndarray) -> int:
-        """Pack 0/1 lanes back into a coefficient int."""
+        """Pack a 1-D array of 0/1 lanes back into a coefficient int."""
         lanes = _coeff_lanes(lanes)
+        if lanes.ndim != 1:
+            raise ValueError(f"expected 1-D lanes, got shape {lanes.shape}")
         return int.from_bytes(np.packbits(lanes, bitorder="little").tobytes(), "little")
 
 

@@ -1,9 +1,10 @@
 """Recursive reference transforms and basis conversion, the tests' oracle;
 nothing on the product path imports this module.
 
-FaftEngine runs the plain and the pruned transform of transform.py by direct
-recursion, with its own twiddle table and its own walk of the state rule.
-afft's slot i holds the value at alpha + omega_i.  to_novel_by_division
+FaftEngine runs the plain forward transform (the oracle of orbit expansion)
+and the pruned transform of transform.py by direct recursion, with its own
+twiddle table and its own walk of the state rule.  afft's slot i holds the
+value at alpha + omega_i.  to_novel_by_division
 converts by long division with the full s_k, in quadratic time.
 """
 
@@ -69,12 +70,6 @@ class FaftEngine:
         alpha = self.field._check(alpha)
         return self._afft(k, list(coeffs), alpha)
 
-    def iafft(self, k: int, values: list[int], alpha: int = 0) -> list[int]:
-        """Inverse of afft."""
-        self._check_size(k, values)
-        alpha = self.field._check(alpha)
-        return self._iafft(k, list(values), alpha)
-
     def _afft(self, k, p, alpha):
         if k == 0:
             return p
@@ -84,18 +79,6 @@ class FaftEngine:
         q0 = [p[j] ^ mul(tw, p[h + j]) for j in range(h)]
         q1 = [q0[j] ^ p[h + j] for j in range(h)]
         return self._afft(k - 1, q0, alpha) + self._afft(k - 1, q1, alpha ^ h)
-
-    def _iafft(self, k, v, alpha):
-        if k == 0:
-            return v
-        h = 1 << (k - 1)
-        tw = self.twiddles.twiddle(k - 1, alpha)
-        mul = self.field.mul
-        q0 = self._iafft(k - 1, v[:h], alpha)
-        q1 = self._iafft(k - 1, v[h:], alpha ^ h)
-        p1 = [q0[j] ^ q1[j] for j in range(h)]
-        p0 = [q0[j] ^ mul(tw, p1[j]) for j in range(h)]
-        return p0 + p1
 
     # ----- Frobenius-pruned transform -----------------------------------
 

@@ -1,5 +1,6 @@
 """Circuit generation, serialization, and verification."""
 
+import hashlib
 import random
 import re
 
@@ -11,6 +12,7 @@ from fafft.basis import _convert, from_novel, to_novel
 from fafft.circuit import (
     Circuit,
     _Builder,
+    _dead_code_sweep,
     _paar_reduce,
     _Wires,
     _template,
@@ -31,17 +33,28 @@ def test_n1_is_single_and():
     assert r.ok and r.exhaustive
 
 
+def _cols(rows: tuple[int, ...], w: int) -> list[int]:
+    """The w columns of a matrix given by its rows: bit r of column c is
+    bit c of rows[r]."""
+    return [sum((row >> c & 1) << r for r, row in enumerate(rows)) for c in range(w)]
+
+
 def test_paar_shared_pair_extracted():
     # two identical rows of weight w cost w-1 once, plus one free reuse
     rows = (0b1111, 0b1111)
-    steps, outs = _paar_reduce(rows, 4)
+    steps, outs = _paar_reduce(_cols(rows, 4), len(rows))
     cost = len(steps) + sum(max(len(o) - 1, 0) for o in outs)
     assert cost == 3
     # overlapping rows share exactly the common pair
     rows = (0b0111, 0b1110)
-    steps, outs = _paar_reduce(rows, 4)
+    steps, outs = _paar_reduce(_cols(rows, 4), len(rows))
     assert len(steps) == 1
     assert steps[0] == (1, 2)
+
+
+def test_paar_keeps_zero_rows():
+    # rows no column reads still get their (empty) output
+    assert _paar_reduce([0, 0], 3) == ((), ((), (), ()))
 
 
 def test_paar_preserves_function():
@@ -50,7 +63,8 @@ def test_paar_preserves_function():
         w = rng.choice((2, 3, 4, 6, 8))
         nrows = rng.randrange(1, 9)
         rows = tuple(rng.getrandbits(w) for _ in range(nrows))
-        steps, outs = _paar_reduce(rows, w)
+        steps, outs = _paar_reduce(_cols(rows, w), nrows)
+        assert len(outs) == nrows
         # evaluate both forms on random vectors
         for _ in range(10):
             x = [rng.getrandbits(1) for _ in range(w)]
@@ -66,6 +80,21 @@ def test_paar_preserves_function():
                 for c in cols:
                     got ^= vals[c]
                 assert got == want
+
+
+def test_dead_code_sweep():
+    # n = 2: ZERO, a0 a1 = 1 2, b0 b1 = 3 4, gate i is ref 5 + i
+    gates = [
+        ("XOR", 1, 3),  # 5: a dead chain ...
+        ("AND", 5, 2),  # 6
+        ("XOR", 6, 4),  # 7
+        ("AND", 1, 3),  # 8: live
+        ("XOR", 7, 8),  # 9: dead, reads the chain and a live gate
+        ("XOR", 2, 8),  # 10: live, after the dead ones
+    ]
+    new_gates, outputs = _dead_code_sweep(2, gates, [10, 2, 0])
+    assert new_gates == [("AND", 1, 3), ("XOR", 2, 5)]
+    assert outputs == [6, 2, 0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
@@ -146,6 +175,24 @@ _PINNED_GATES = {
 def test_pinned_gate_counts(n):
     c = gen_mul_circuit(n)
     assert (c.and_count, c.xor_count) == _PINNED_GATES[n]
+
+
+# SHA-256 of the whole SLP text: equal gate counts do not pin the gates'
+# order or operands, and the text must not change unless the generator is
+# meant to.
+_PINNED_SLP_SHA256 = {
+    5: "f3e24827c0f6bf755444627ba61f75d3f55ee24023144ec14382ccf8198b31c4",
+    17: "630bdc30a3895a09ae7e3dfa5430ad63dc2f37ff16f6a8e906e79c7734bb7809",
+    64: "f4b32e5088c7b6e3ca0366dcd6b6fd1e7278ecd3d24ee78ab2748e9c88b6ddc7",
+    100: "dffc640ecc3c48330d71249e2e6a69fbe9b8528469ea68a7a12965dbb7672aba",
+    256: "d9e7dfb08838270a1c97680920c70fa762c0947f9d95a5257687932ee0cf662a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_SLP_SHA256))
+def test_pinned_slp_text(n):
+    text = gen_mul_circuit(n).to_slp()
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SLP_SHA256[n]
 
 
 def test_templates_outlive_a_call():

@@ -97,6 +97,9 @@ BAD = {
     "bits_to_lanes bool": (lambda: LAY.bits_to_lanes(True, 8), TypeError, "bool"),
     "bits_to_lanes n bool": (lambda: LAY.bits_to_lanes(1, True), TypeError, "bool"),
     "bits_to_lanes float": (lambda: LAY.bits_to_lanes(1.0, 8), TypeError, "float"),
+    # two vectors would merge into one int, a scalar into a one-bit one
+    "lanes_to_bits 2-D": (lambda: LAY.lanes_to_bits(np.uint8([[1, 0], [1, 1]])), ValueError, "1-D"),
+    "lanes_to_bits 0-D": (lambda: LAY.lanes_to_bits(np.array(1, np.uint8)), ValueError, "1-D"),
 }
 
 

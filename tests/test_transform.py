@@ -62,15 +62,6 @@ def test_afft_matches_direct_evaluation(eng):
             assert vals[i] == novel_eval_field(eng.field, coeffs, alpha ^ i)
 
 
-def test_afft_iafft_roundtrip(eng):
-    rng = random.Random(32)
-    for k in range(0, 8):
-        n = 1 << k
-        coeffs = [rng.randrange(eng.field.order) for _ in range(n)]
-        alpha = rng.randrange(eng.field.order)
-        assert eng.iafft(k, eng.afft(k, coeffs, alpha), alpha) == coeffs
-
-
 def test_afft_coset_shift(eng):
     # shifting alpha inside W_k permutes the output slots by XOR
     rng = random.Random(33)
