@@ -12,7 +12,7 @@ transform.twiddles: the same lists the numeric pipeline runs.
 
 Wires are ints: 0 is the constant zero, 1..n the bits of operand a,
 n+1..2n the bits of b, then one ref per emitted gate.  The builder folds
-away trivial gates (x^x, x^0, x&x, x&0) and dedups identical gate pairs.
+away trivial gates (x^x, x^0, x&x, x&0) and stores each distinct gate once.
 Constant multiplications (twiddles, the zeta step inside Karatsuba) replay
 an XOR template built once per constant and widths: the columns of the
 constant's GF(2) matrix, each the set of output rows an input coordinate
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import _convert
-from .field import _as_int, _mul_int, binru
+from .field import _as_int, _mul_int, _transpose_bits, binru
 from .transform import schedule, twiddles
 
 __all__ = [
@@ -82,19 +82,12 @@ class Circuit:
 class _Builder:
     def __init__(self, n: int):
         self.n = n
-        self.gates: list[tuple[str, int, int]] = []
-        self._memo: dict[tuple[str, int, int], int] = {}
+        self.gates: dict[tuple[str, int, int], int] = {}  # gate -> its ref, in ref order
 
     def _emit(self, op: str, x: int, y: int) -> int:
         if x > y:
             x, y = y, x
-        key = (op, x, y)
-        ref = self._memo.get(key)
-        if ref is None:
-            self.gates.append((op, x, y))
-            ref = 2 * self.n + len(self.gates)
-            self._memo[key] = ref
-        return ref
+        return self.gates.setdefault((op, x, y), 2 * self.n + 1 + len(self.gates))
 
     def xor(self, x: int, y: int) -> int:
         if x == ZERO:
@@ -306,7 +299,7 @@ def gen_mul_circuit(n: int) -> Circuit:
     lanes = [_lane_mul_sym(bld, _pad(a, w), _pad(b, w), w) for a, b, w in zip(la, lb, widths)]
     poly = _convert(_Wires(bld, _trace_inverse(bld, m, lanes)), N, False)
     outputs = poly.refs[:need]
-    gates, outputs = _dead_code_sweep(n, bld.gates, outputs)
+    gates, outputs = _dead_code_sweep(n, list(bld.gates), outputs)
     return Circuit(n, gates, outputs)
 
 
@@ -328,6 +321,9 @@ def parse_slp(text: str) -> Circuit:
     if not lines or lines[0].split()[0] != "SLP":
         raise ValueError("missing SLP header")
     pairs = [kv.split("=", 1) for kv in lines[0].split()[1:]]
+    for kv in pairs:
+        if len(kv) < 2:
+            raise ValueError(f"bad header field {kv[0]!r}")
     fields = dict(pairs)
     if len(fields) < len(pairs):
         raise ValueError("header repeats a field")
@@ -359,17 +355,17 @@ def parse_slp(text: str) -> Circuit:
     gates: list[tuple[str, int, int]] = []
     outputs: list[int | None] = [None] * (2 * n - 1)
     for ln in lines[1:]:
-        lhs, rhs = ln.split("=", 1)
+        lhs, eq, rhs = ln.partition("=")
         lhs = lhs.strip()
         parts = rhs.split()
-        if lhs.startswith("t"):
+        if eq and lhs.startswith("t") and len(parts) == 3:
             if _decimal(lhs[1:]) != len(gates):
                 raise ValueError(f"gate {lhs} out of order")
             op, x, y = parts
             if op not in ("AND", "XOR"):
                 raise ValueError(f"bad op {op!r}")
             gates.append((op, ref(x), ref(y)))
-        elif lhs.startswith("c") and len(parts) == 1:
+        elif eq and lhs.startswith("c") and len(parts) == 1:
             i = index(lhs, len(outputs))
             if outputs[i] is not None:
                 raise ValueError(f"output {lhs} bound twice")
@@ -391,7 +387,9 @@ def eval_slp(circ: Circuit, a_bits: list[int], b_bits: list[int]) -> list[int]:
     n = circ.n
     if len(a_bits) != n or len(b_bits) != n:
         raise ValueError(f"expected {n} bits per operand, got {len(a_bits)} and {len(b_bits)}")
-    wires = [0] + a_bits + b_bits
+    wires = [0] + [_as_int(p, "a bit plane") for p in (*a_bits, *b_bits)]
+    if min(wires) < 0:
+        raise ValueError("bit planes must be nonnegative")
     for op, x, y in circ.gates:
         wires.append((wires[x] & wires[y]) if op == "AND" else (wires[x] ^ wires[y]))
     return [wires[r] for r in circ.outputs]
@@ -401,8 +399,7 @@ def _planes(vals: list[int], n: int) -> list[int]:
     """Bit planes of n-bit ints: plane i holds bit i of vals[t] in bit t."""
     nbytes = (n + 7) >> 3
     rows = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in vals), np.uint8)
-    bits = np.unpackbits(rows.reshape(len(vals), nbytes), axis=1, bitorder="little")[:, :n]
-    planes = np.packbits(bits.T, axis=1, bitorder="little")
+    planes = _transpose_bits(rows.reshape(len(vals), nbytes))[:n]
     return [int.from_bytes(p.tobytes(), "little") for p in planes]
 
 
@@ -431,6 +428,8 @@ def verify_slp(circ: Circuit | str, trials: int = 10_000, seed: int = 0) -> Veri
         raise ValueError(f"trials must be nonnegative, got {trials}")
     if isinstance(circ, str):
         circ = parse_slp(circ)
+    elif not isinstance(circ, Circuit):
+        raise TypeError(f"circ must be a Circuit or SLP text, got {type(circ).__name__}")
     n = circ.n
     if 1 << (2 * n) <= _EXHAUSTIVE_PAIRS:
         pairs = [(t >> n, t & ((1 << n) - 1)) for t in range(1 << (2 * n))]

@@ -18,11 +18,11 @@ a0 + a1*u_j and recurses with three half-width products (Karatsuba), using
 
     u_j^2 = u_j + zeta_j,      zeta_j = u_0*...*u_{j-1} = v_{2^j - 1}.
 
-The product by zeta_j = v_{2^j - 1} is one more half-width product.  One
-recursion serves ints and arrays (the lanes of the transform engine) alike:
-the GF(256) product table up to 8 bits, discrete logs over GF(2^16) up to 16
-bits, Karatsuba halves above.  Both tables are built at import from the tower
-relations alone, as shift/mask products by the generators u_t.
+The product by zeta_j = v_{2^j - 1} is one more half-width product.  Two
+recursions of one shape run it, _mul_vec on arrays (the engine's lanes) and
+_mul_int on ints: the GF(256) product table up to 8 bits, discrete logs over
+GF(2^16) up to 16 bits, Karatsuba halves above.  Both tables are built at
+import from the tower relations alone, as shift/mask products by the u_t.
 """
 
 from __future__ import annotations
@@ -126,11 +126,34 @@ def _span(cols) -> np.ndarray:
     return t
 
 
+def _transpose_bits(x: np.ndarray) -> np.ndarray:
+    """The transpose of a bit matrix stored as rows of bytes, bit i of byte
+    s being column 8 s + i: row 8 s + i of the result holds bit i of byte s
+    of every row of x, packed the same way.
+
+    Each 8 x 8 block is one uint64, transposed by three delta swaps (Hacker's
+    Delight, section 7-3).
+    """
+    rows, nbytes = x.shape
+    blocks = np.zeros((nbytes, -(-rows // 8) * 8), dtype=np.uint8)
+    blocks[:, :rows] = x.T
+    w = blocks.view("<u8").astype(np.uint64)
+    for shift, mask in _DELTA_SWAPS:
+        t = (w ^ (w >> shift)) & mask
+        w ^= t ^ (t << shift)
+    out = w.astype("<u8").view(np.uint8).reshape(nbytes, -1, 8)
+    return out.transpose(0, 2, 1).reshape(8 * nbytes, -1)
+
+
 # GF(256) product table at index (a << 8) | b: the span over the rows v_i * b
 _BYTE_NP = _span([_times_v(np.arange(256, dtype=np.uint64), i) for i in range(8)])
 _BYTE_NP = _BYTE_NP.reshape(-1).astype(np.uint8)
 _Q16 = (1 << 16) - 1  # order of GF(2^16)*
 _G16 = 0x102  # u_0 + u_3, a generator of GF(2^16)*
+_DELTA_SWAPS = tuple(
+    (np.uint64(s), np.uint64(m))
+    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
 
 
 def _build_log16():

@@ -47,7 +47,7 @@ import numpy as np
 
 from .basis import from_novel, to_novel
 from .engine import LayeredEngine, _dtype
-from .field import _EXP16, _LOG16, _Q16, _as_int, _mul_vec, _span
+from .field import _EXP16, _LOG16, _Q16, _as_int, _mul_vec, _span, _transpose_bits
 from .subspace import subspace_coeffs
 from .transform import schedule
 
@@ -56,10 +56,6 @@ __all__ = ["mul", "mul_fafft", "mul_karatsuba", "mul_schoolbook"]
 _KARA_CUTOFF_BITS = 4096
 _SCHOOL_BLOCK_BYTES = 64  # 512 bits of a per accumulator block
 _TABLE_MAX_M = 10  # the largest direct tables; one split past them reaches 2^11 bits
-_DELTA_SWAPS = tuple(
-    (np.uint64(s), np.uint64(m))
-    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-)
 _NIBBLES = np.arange(256)[:, None] >> np.array([0, 4]) & 15  # low, high nibble of a byte
 
 _LAYERED = LayeredEngine()
@@ -156,25 +152,6 @@ def _trace_form(w: int, y: np.ndarray) -> np.ndarray:
     for p in range(0, w, 8):
         out ^= _span(cols[p : p + 8])[(y >> p) & 0xFF]
     return out
-
-
-def _transpose_bits(x: np.ndarray) -> np.ndarray:
-    """The transpose of a bit matrix stored as rows of bytes, bit i of byte
-    s being column 8 s + i: row 8 s + i of the result holds bit i of byte s
-    of every row of x, packed the same way.
-
-    Each 8 x 8 block is one uint64, transposed by three delta swaps (Hacker's
-    Delight, section 7-3).
-    """
-    rows, nbytes = x.shape
-    blocks = np.zeros((nbytes, -(-rows // 8) * 8), dtype=np.uint8)
-    blocks[:, :rows] = x.T
-    w = blocks.view("<u8").astype(np.uint64)
-    for shift, mask in _DELTA_SWAPS:
-        t = (w ^ (w >> shift)) & mask
-        w ^= t ^ (t << shift)
-    out = w.astype("<u8").view(np.uint8).reshape(nbytes, -1, 8)
-    return out.transpose(0, 2, 1).reshape(8 * nbytes, -1)
 
 
 def _chunk_table(units: np.ndarray, c: int) -> np.ndarray:

@@ -160,6 +160,19 @@ def test_conversion_on_wires_matches_basis(m):
         assert got == _bitslice([convert(v, n) for v in vectors], n)
 
 
+def test_builder_stores_each_gate_once():
+    bld = _Builder(2)  # refs 1, 2 are a, 3, 4 are b; gates start at 5
+    assert bld.xor(1, 1) == 0 and bld.xor(3, 0) == 3 and bld.xor(0, 3) == 3
+    assert bld.gates == {}
+    t = bld.xor(1, 3)
+    assert bld.xor(3, 1) == bld.xor(1, 3) == t == 5
+    u = bld.and_(4, 2)
+    assert bld.and_(2, 4) == u == 6
+    v = bld.xor(t, u)
+    assert list(bld.gates) == [("XOR", 1, 3), ("AND", 2, 4), ("XOR", 5, 6)]
+    assert list(bld.gates.values()) == [t, u, v] == [5, 6, 7]
+
+
 # Exact (AND, XOR) totals, so that a change to the generator cannot move
 # them unnoticed.
 _PINNED_GATES = {
@@ -264,6 +277,13 @@ def test_parse_rejects_malformed():
     ):
         with pytest.raises(ValueError):
             parse_slp(text)
+    # lines of the wrong shape name themselves
+    gate = "t0 = AND a0 b0"
+    for line in ("t0 AND a0 b0", "c0", "t0 = AND a0", "t0 = AND a0 b0 b0"):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            parse_slp(f"SLP n=1 and=1 xor=0\n{gate}\n{line}\nc0 = t0\n")
+    with pytest.raises(ValueError, match="'foo'"):
+        parse_slp(f"SLP n=1 and=1 xor=0 foo\n{gate}\nc0 = t0\n")
     assert parse_slp(rebind_c0("a1")).outputs[0] == 2
     assert parse_slp("SLP n=1 and=0 xor=0\nc0 = ZERO\n").outputs == [0]
 

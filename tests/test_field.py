@@ -5,7 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from fafft.field import _EXP16, _LOG16, CantorField, _mul_by_u, _mul_vec, _mul_zeta, binru
+from fafft.field import (
+    _EXP16,
+    _LOG16,
+    CantorField,
+    _mul_by_u,
+    _mul_vec,
+    _mul_zeta,
+    _transpose_bits,
+    binru,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +284,18 @@ def test_mul_vec_matches_oracle(field):
 
 # ---------------------------------------------------------------------------
 # helpers
+
+_SHAPES = [(1, 1), (7, 3), (9, 1), (8, 8), (64, 40), (1000, 17), (10015, 128)]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_transpose_bits_matches_unpack(shape):
+    # oracle: unpack every bit, transpose, pack again
+    x = np.random.default_rng(shape[0]).integers(0, 256, shape, dtype=np.uint8)
+    bits = np.unpackbits(x, axis=1, bitorder="little")
+    want = np.packbits(bits.T, axis=1, bitorder="little")
+    assert np.array_equal(_transpose_bits(x), want)
+
 
 def test_binru():
     assert [binru(x) for x in range(9)] == [1, 1, 2, 4, 4, 8, 8, 8, 8]

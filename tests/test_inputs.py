@@ -10,6 +10,7 @@ from fafft import (
     FaftEngine,
     LayeredEngine,
     count_ops,
+    eval_slp,
     from_novel,
     gen_mul_circuit,
     TwiddleTable,
@@ -26,6 +27,7 @@ LAY = LayeredEngine()
 ORACLE = FaftEngine(6)
 GF4, GF16 = CantorField(1), CantorField(2)
 T1, T2 = TwiddleTable(GF4), TwiddleTable(GF16)
+C3 = gen_mul_circuit(3)
 
 
 def leaves(m, value=0, dtype=np.uint64):
@@ -58,6 +60,9 @@ BAD = {
     "afft point float": (lambda: ORACLE.afft(1, [0, 1], 1.0), TypeError, "float"),
     "verify trials bool": (lambda: verify_slp(gen_mul_circuit(9), trials=True), TypeError, "bool"),
     "verify trials float": (lambda: verify_slp(gen_mul_circuit(9), trials=2.5), TypeError, "float"),
+    "verify circuit int": (lambda: verify_slp(123), TypeError, "int"),
+    "eval plane negative": (lambda: eval_slp(C3, [-1, 0, 0], [1, 1, 1]), ValueError, "nonnegative"),
+    "eval plane float": (lambda: eval_slp(C3, [1.0, 0, 0], [1, 1, 1]), TypeError, "float"),
     # size exponents are checked before any cache, where True would hit m = 1
     "count_ops bool": (lambda: count_ops(True), TypeError, "bool"),
     "n_cross_section bool": (lambda: n_cross_section(True), TypeError, "bool"),
