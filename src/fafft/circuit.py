@@ -208,7 +208,7 @@ def _trace_forward(bld, m, coeffs: list[int]) -> list[list[int]]:
     time; returns lane ref-vectors in leaf order."""
     sched = schedule(m)
     segs = [[[c] for c in coeffs]]  # segment -> value -> coordinate refs
-    for depth, (d, (tws, _)) in enumerate(zip(sched, twiddles(m))):
+    for depth, (d, tws) in enumerate(zip(sched, twiddles(m))):
         h = 1 << (m - depth - 1)
         child_width = sched[depth + 1].width.tolist()
         nxt = []
@@ -227,17 +227,17 @@ def _trace_inverse(bld, m, lanes: list[list[int]]) -> list[int]:
     """Inverse pruned transform on wires, from the leaves of schedule(m) up;
     returns 2^m single-bit coeff refs."""
     segs = [[v] for v in lanes]
-    for d, (_, cs) in zip(reversed(schedule(m)[:-1]), reversed(twiddles(m))):
+    for d, tws in zip(reversed(schedule(m)[:-1]), reversed(twiddles(m))):
         children = iter(segs)
         segs = []
-        for (_, l, w, trunc), c in zip(d.segments(), cs.tolist()):
+        for (_, l, w, trunc), tw in zip(d.segments(), tws.tolist()):
             q0 = next(children)
-            if trunc:  # p1 = q0 >> l, p0 = (q0 mod 2^l) + c * p1, where w = l
+            if trunc:  # p1 = q0 >> l, p0 = q0 + tw * p1, whose top halves cancel (w = l)
                 p1 = [q[l:] for q in q0]
                 q0 = [q[:l] for q in q0]
             else:
                 p1 = [bld.xor_vec(a, b) for a, b in zip(q0, next(children))]
-            p0 = [bld.xor_vec(a, _mul_const(bld, c, b, w, w)) for a, b in zip(q0, p1)]
+            p0 = [bld.xor_vec(a, _mul_const(bld, tw, b, w, w)) for a, b in zip(q0, p1)]
             segs.append(p0 + p1)
     return [v[0] for v in segs[0]]
 
@@ -322,8 +322,8 @@ def parse_slp(text: str) -> Circuit:
         raise ValueError("missing SLP header")
     pairs = [kv.split("=", 1) for kv in lines[0].split()[1:]]
     for kv in pairs:
-        if len(kv) < 2:
-            raise ValueError(f"bad header field {kv[0]!r}")
+        if len(kv) < 2 or kv[0] not in ("n", "and", "xor"):
+            raise ValueError(f"bad header field {'='.join(kv)!r}")
     fields = dict(pairs)
     if len(fields) < len(pairs):
         raise ValueError("header repeats a field")

@@ -6,29 +6,30 @@ is the tests' oracle.  This module runs that schedule one depth at a time:
 every surviving segment at depth j has the same length 2^(m-j), so one
 reshape turns the flat state vector into a (segments, 2, half) array and
 each depth is a handful of whole-array operations.  A plan adds only the
-array form: row gathers, shifts, masks, dtypes and product widths.
+array form: row gathers, shifts, dtypes and product widths.
 
 The forward step writes q0 = p0 + tw * p1 and q1 = q0 + p1 straight into a
 fresh (segments, 2, half) buffer.  Read row by row, that buffer is the next
 depth's state in depth-first order whenever every segment branches;
 otherwise one row gather drops the q1 rows of the truncated segments.  The
 inverse scatters the surviving rows back into a zeroed buffer, so a
-truncated segment reads q1 = 0, and then both kinds of segment share one
-step,
+truncated segment reads q1 = 0, and then both kinds of segment undo the
+forward step with its own twiddle,
 
-    p1 = (q0 >> s) + q1,    p0 = (q0 & mask) + c * p1,
+    p1 = (q0 >> s) + q1,    p0 = q0 + tw * p1,
 
-with s = 0, mask = all ones and c = tw on a branching segment, and s = l,
-mask = 2^l - 1 and c = tw + v_l on a truncated one (tw = c + v_l with c in
-GF(2^l), see transform.py).
+with s = 0 on a branching segment and s = l on a truncated one.  There
+tw = c + v_l with c in GF(2^l) (see transform.py), so the top half of
+tw * p1 is v_l * p1 = p1 << l, which is the top half of q0: the two cancel.
 
 Every multiplication in the transform is a twiddle product: each segment's
 row times one constant, fixed before any data arrives.  So the plan turns
-each depth's tw and c into a constant multiplier (_ConstMul) whose form
-follows from two widths alone: the value width binru(max l), and the
-product width, which also holds the constants.  Single-bit values take an
-integer multiply and 2-bit values two bit images of the constant (a
-constant multiply is GF(2)-linear), so neither builds an index array.
+each depth's tw into one constant multiplier (_ConstMul), which forward and
+inverse share.  Its form follows from two widths alone: the value width
+binru(max l), and the product width, which also holds the constants.
+Single-bit values take an integer multiply and 2-bit values two bit images
+of the constant (a constant multiply is GF(2)-linear), so neither builds an
+index array.
 Products of up to 8 bits take one gather in the GF(2^8) table at a planned
 row offset, products of up to 16 bits the GF(2^16) logs with log t planned,
 and 32-bit products split the constant into 16-bit halves with four planned
@@ -64,9 +65,7 @@ class _Layer:
     dtype: np.dtype  # holds the values at this depth
     child_dtype: np.dtype  # holds the values one depth down
     tw: _ConstMul  # times the twiddle s_{k-1}(alpha) of each segment
-    c: _ConstMul  # times tw, with v_l cleared on truncated rows
     shift: np.ndarray  # uint8 (count, 1): l on truncated rows, 0 elsewhere
-    mask: np.ndarray  # child_dtype (count, 1): 2^l - 1 on truncated rows, ones elsewhere
 
 
 @dataclass
@@ -182,12 +181,9 @@ class LayeredEngine:
     def _build_plan(self, m: int) -> _Plan:
         sched = schedule(m)
         layers: list[_Layer] = []
-        for depth, (seg, (tw, c)) in enumerate(zip(sched, twiddles(m))):
+        for depth, (seg, tw) in enumerate(zip(sched, twiddles(m))):
             trunc = seg.trunc
-            lu = seg.l.astype(_U)
             width = int(seg.width.max())
-            child = _dtype(int(sched[depth + 1].width.max()))
-            ones = np.iinfo(child).max
             rows = None
             if trunc.any():  # truncated segment i drops its q1, child row 2i + 1
                 rows = np.flatnonzero(np.column_stack((np.ones_like(trunc), ~trunc)))
@@ -197,11 +193,9 @@ class LayeredEngine:
                     count=len(trunc),
                     rows=rows,
                     dtype=_dtype(width),
-                    child_dtype=child,
+                    child_dtype=_dtype(int(sched[depth + 1].width.max())),
                     tw=_ConstMul(tw, width),
-                    c=_ConstMul(c, width),
                     shift=np.where(trunc, seg.l, 0).astype(np.uint8)[:, None],
-                    mask=np.where(trunc, (_U(1) << lu) - _U(1), ones).astype(child)[:, None],
                 )
             )
         widths = sched[-1].width
@@ -253,15 +247,14 @@ class LayeredEngine:
             p1 = out[:, :, 1]
             if layer.rows is None:
                 q = data.reshape(shape)
-                r0 = q[:, :, 0]
-                np.bitwise_xor(r0, q[:, :, 1], out=p1)
+                np.bitwise_xor(q[:, :, 0], q[:, :, 1], out=p1)
             else:
                 q = np.zeros(shape, dtype=layer.child_dtype)
                 q.reshape(len(q), -1, h)[:, layer.rows] = data.reshape(len(data), -1, h)
                 np.right_shift(q[:, :, 0], layer.shift, out=p1)
                 p1 ^= q[:, :, 1]
-                r0 = q[:, :, 0] & layer.mask
-            np.bitwise_xor(r0, layer.c(p1), out=out[:, :, 0])
+            # on truncated rows the top halves of q0 and tw * p1 cancel
+            np.bitwise_xor(q[:, :, 0], layer.tw(p1), out=out[:, :, 0])
             data = out
         return data.reshape(batch + (-1,))
 

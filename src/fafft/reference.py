@@ -3,9 +3,12 @@ nothing on the product path imports this module.
 
 FaftEngine runs the plain forward transform (the oracle of orbit expansion)
 and the pruned transform of transform.py by direct recursion, with its own
-twiddle table and its own walk of the state rule.  afft's slot i holds the
-value at alpha + omega_i.  to_novel_by_division
-converts by long division with the full s_k, in quadratic time.
+twiddle table and its own walk of the state rule.  Its truncated inverse
+step keeps the paper's form P0 = (q mod 2^l) + c * P1 with c = tw + v_l,
+where the engine and the circuit generator write q + tw * P1: an oracle
+that shares that rewriting could not catch a fault in it.  afft's slot i
+holds the value at alpha + omega_i.  to_novel_by_division converts by long
+division with the full s_k, in quadratic time.
 """
 
 from __future__ import annotations

@@ -20,12 +20,13 @@ form the cross-section of W_m, one point per Frobenius orbit.
 The truncated step stays invertible because its twiddle satisfies
 tw = c + v_l with c in GF(2^l): the skipped half of the state is the shifted
 top of the surviving half, so the inverse recovers P1 = q >> l and
-P0 = (q mod 2^l) + c * P1 coefficient by coefficient.
+P0 = q + tw * P1 coefficient by coefficient, where the top half of
+tw * P1 = c * P1 + (P1 << l) cancels that of q.
 
 schedule(m) writes the pruned tree out once, depth by depth, and every
 consumer reads it: count_ops, n_cross_section, cross_section, the numpy
-engine and the circuit generator.  twiddles(m) adds tw and c per depth for
-the two consumers that multiply, so counting builds no field table.  The
+engine and the circuit generator.  twiddles(m) adds tw per depth for the
+two consumers that multiply, so counting builds no field table.  The
 Cantor tower is nested (s_j(v_i) for i < 2^K are the same ints at every
 height K), so one GF(2^64) table serves every field and K only bounds m.
 The recursive transforms in reference.py keep their own twiddles and state
@@ -167,10 +168,9 @@ def schedule(m: int) -> tuple[Depth, ...]:
 
 
 @_per_size
-def twiddles(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(tw, c) per segment for each of the m non-leaf depths of schedule(m):
-    uint64 twiddles tw = s_{k-1}(alpha) and c = tw with v_l cleared on
-    truncated segments, folded from one GF(2^64) table.  Read-only.
+def twiddles(m: int) -> tuple[np.ndarray, ...]:
+    """Uint64 twiddles tw = s_{k-1}(alpha) per segment for each of the m
+    non-leaf depths of schedule(m), from one GF(2^64) table; read-only.
 
     RuntimeError if a truncated twiddle is not v_l + (lower bits).
     """
@@ -181,12 +181,10 @@ def twiddles(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         tw = np.zeros(len(d.alpha), dtype=np.uint64)
         for b in range(k, m):  # alphas have no coordinates below k
             tw ^= rows[k - 1, b] * ((d.alpha >> np.uint64(b)) & np.uint64(1))
-        lu = d.l.astype(np.uint64)
-        c = tw ^ (d.trunc.astype(np.uint64) << lu)
-        if np.any(d.trunc & (c >> lu != 0)):
+        if np.any(d.trunc & (tw >> d.l.astype(np.uint64) != 1)):
             raise RuntimeError(f"a truncated twiddle at m={m} is not v_l + (lower bits)")
-        out.append(_frozen(tw, c))
-    return tuple(out)
+        out.append(tw)
+    return _frozen(*out)
 
 
 def count_ops(m: int) -> OpCounters:

@@ -277,6 +277,15 @@ def test_parse_rejects_malformed():
     ):
         with pytest.raises(ValueError):
             parse_slp(text)
+    # unknown header keys, each over a valid 1-bit body
+    one = gen_mul_circuit(1).to_slp()
+    assert one.startswith("SLP n=1 and=1 xor=0\n")
+    for token, text in (
+        ("foo=1", one.replace("xor=0", "xor=0 foo=1", 1)),
+        ("nn=4", one.replace("SLP ", "SLP nn=4 ", 1)),
+    ):
+        with pytest.raises(ValueError, match=f"bad header field '{token}'"):
+            parse_slp(text)
     # lines of the wrong shape name themselves
     gate = "t0 = AND a0 b0"
     for line in ("t0 AND a0 b0", "c0", "t0 = AND a0", "t0 = AND a0 b0 b0"):

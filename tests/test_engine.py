@@ -40,7 +40,7 @@ def test_differential_sizes_cover_every_path(lay):
     for m in DIFF_M:
         for layer in lay.plan(m).layers:
             rows.add(layer.rows is None)
-            forms.update((layer.tw.form, layer.c.form))
+            forms.add(layer.tw.form)
     # depths where every row survives and depths that mix branch and
     # truncated rows
     assert rows == {True, False}
@@ -64,8 +64,7 @@ def test_planned_multipliers_match_field_product(lay):
     rng = np.random.default_rng(56)
     for m in range(0, 21):
         for layer, seg in zip(lay.plan(m).layers, schedule(m)):
-            for mul in (layer.tw, layer.c):
-                _check_const_mul(mul, int(seg.width.max()), rng)
+            _check_const_mul(layer.tw, int(seg.width.max()), rng)
 
 
 def test_wide_constants_take_the_vector_product():
