@@ -382,8 +382,18 @@ def parse_slp(text: str) -> Circuit:
     return circ
 
 
-def eval_slp(circ: Circuit, a_bits: list[int], b_bits: list[int]) -> list[int]:
+def _as_circuit(circ: Circuit | str) -> Circuit:
+    """circ, parsed if SLP text; TypeError unless a Circuit or a str."""
+    if isinstance(circ, str):
+        return parse_slp(circ)
+    if not isinstance(circ, Circuit):
+        raise TypeError(f"circ must be a Circuit or SLP text, got {type(circ).__name__}")
+    return circ
+
+
+def eval_slp(circ: Circuit | str, a_bits: list[int], b_bits: list[int]) -> list[int]:
     """Replay the circuit bitsliced: each wire is an int, one trial per bit."""
+    circ = _as_circuit(circ)
     n = circ.n
     if len(a_bits) != n or len(b_bits) != n:
         raise ValueError(f"expected {n} bits per operand, got {len(a_bits)} and {len(b_bits)}")
@@ -426,10 +436,7 @@ def verify_slp(circ: Circuit | str, trials: int = 10_000, seed: int = 0) -> Veri
     trials = _as_int(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    if isinstance(circ, str):
-        circ = parse_slp(circ)
-    elif not isinstance(circ, Circuit):
-        raise TypeError(f"circ must be a Circuit or SLP text, got {type(circ).__name__}")
+    circ = _as_circuit(circ)
     n = circ.n
     if 1 << (2 * n) <= _EXHAUSTIVE_PAIRS:
         pairs = [(t >> n, t & ((1 << n) - 1)) for t in range(1 << (2 * n))]

@@ -121,8 +121,8 @@ def _cmd_faft(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.min_log > args.max_log or args.min_log < 4:
-        print("need 4 <= min-log <= max-log", file=sys.stderr)
+    if not 4 <= args.min_log <= args.max_log <= 31:
+        print("need 4 <= min-log <= max-log <= 31", file=sys.stderr)
         return 2
     if not all(_write(path, "") for path in (args.csv, args.json) if path is not None):
         return 2  # a bad path exits before any product runs

@@ -3,10 +3,10 @@
 transform.schedule(m) lists the segments of the pruned tree depth by depth
 and transform.twiddles(m) their twiddles; reference.FaftEngine's recursion
 is the tests' oracle.  This module runs that schedule one depth at a time:
-every surviving segment at depth j has the same length 2^(m-j), so one
-reshape turns the flat state vector into a (segments, 2, half) array and
-each depth is a handful of whole-array operations.  A plan adds only the
-array form: row gathers, shifts, dtypes and product widths.
+every surviving segment at depth j has the same length 2^(m-j), so the
+state is a (segments, 2, half) array and each depth is a handful of
+whole-array operations.  A plan holds every array's form: shapes, row
+gathers, shifts, dtypes and multipliers; the loops reshape only by it.
 
 The forward step writes q0 = p0 + tw * p1 and q1 = q0 + p1 straight into a
 fresh (segments, 2, half) buffer.  Read row by row, that buffer is the next
@@ -36,15 +36,16 @@ and 32-bit products split the constant into 16-bit halves with four planned
 logs.  Only pointwise multiplies two variable arrays.
 
 Everything here assumes the GF(2)-input setting: coefficient vectors are
-uint8 lanes of 0/1, leaf values are uint64 lanes, and in between each depth
-keeps its state in the narrowest unsigned dtype that holds its values, so
-the wide top depths, which carry single bits, move one byte per lane.  A
-plan built once per m is reused across calls.  Leading axes of the arrays
-passed in are batch axes, so both operands of a product share one forward.
+uint8 lanes of 0/1, leaf values lanes in the widest leaf's dtype, and in
+between each depth keeps its state in the narrowest unsigned dtype that
+holds its values, so the wide top depths move one byte per lane.  A plan
+built once per m is reused across calls.  Leading axes of the arrays passed
+in are batch axes, so both operands of a product share one forward.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,8 @@ _U = np.uint64
 
 @dataclass
 class _Layer:
-    length: int  # segment length entering this depth
-    count: int  # segments at this depth
-    rows: np.ndarray | None  # surviving rows of the (count * 2) children; None: all
+    shape: tuple[int, int, int]  # (segments, 2, half) of the state at this depth
+    rows: np.ndarray | None  # surviving rows of the 2 * segments children; None: all
     dtype: np.dtype  # holds the values at this depth
     child_dtype: np.dtype  # holds the values one depth down
     tw: _ConstMul  # times the twiddle s_{k-1}(alpha) of each segment
@@ -105,8 +105,7 @@ class _ConstMul:
       way through the GF(2^16) logs;
     - "halves16"/"halves32": 32-bit products of 16-/32-bit values in 16-bit
       halves t = c0 + c1 u (u = v_16, u^2 = u + zeta, zeta = v_15): the low
-      half is c0 x0 + (zeta c1) x1 and the high half (c0 + c1) x1 + c1 x0;
-    - "vec": 64-bit products (twiddles of m > 32), the vector field product.
+      half is c0 x0 + (zeta c1) x1 and the high half (c0 + c1) x1 + c1 x0.
     """
 
     def __init__(self, t: np.ndarray, width: int):
@@ -120,12 +119,10 @@ class _ConstMul:
             self.form, self.consts = "byte", ((t << _U(8)).astype(np.intp)[:, None],)
         elif pw <= 16:
             self.form, self.consts = "log", _logs(t)
-        elif pw == 32:
+        else:
             c0, c1 = t & _U(0xFFFF), t >> _U(16)
             self.form = "halves16" if width <= 16 else "halves32"
             self.consts = _logs(c0, _mul_vec(_U(1 << 15), c1, 16), c0 ^ c1, c1)
-        else:
-            self.form, self.consts = "vec", (t[:, None],)
         self._apply = getattr(_ConstMul, "_" + self.form)  # unbound: no reference cycle
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -156,24 +153,23 @@ class _ConstMul:
         hi = _EXP16.take(b + l2) ^ _EXP16.take(a + l3)
         return lo | (hi.astype(np.uint32) << 16)
 
-    def _vec(self, x):
-        return _mul_vec(self.consts[0], x.astype(_U), self.prod_width)
-
 
 class LayeredEngine:
     """Array-batched pruned transform of schedule(m).
 
     The twiddles are the same in every field of the nested tower, so one
-    engine serves every size that fits GF(2^64): plan raises ValueError
-    unless 0 <= m <= 64.  The constructor ignores its optional argument, so
-    callers written as LayeredEngine(FaftEngine(6)) keep working.
+    engine serves every size: plan raises ValueError unless 0 <= m <= 32,
+    where every twiddle and leaf value lies in GF(2^32).  Wider ones first
+    appear at m = 33, a tree of billions of segments.  The constructor
+    ignores its optional argument, so callers written as
+    LayeredEngine(FaftEngine(6)) keep working.
     """
 
     def __init__(self, eng=None):
         self._plans: dict[int, _Plan] = {}
 
     def plan(self, m: int) -> _Plan:
-        m = _check_m(m)
+        m = _check_m(m, 32)
         if m not in self._plans:
             self._plans[m] = self._build_plan(m)
         return self._plans[m]
@@ -189,8 +185,7 @@ class LayeredEngine:
                 rows = np.flatnonzero(np.column_stack((np.ones_like(trunc), ~trunc)))
             layers.append(
                 _Layer(
-                    length=1 << (m - depth),
-                    count=len(trunc),
+                    shape=(len(trunc), 2, 1 << (m - depth - 1)),
                     rows=rows,
                     dtype=_dtype(width),
                     child_dtype=_dtype(int(sched[depth + 1].width.max())),
@@ -205,7 +200,7 @@ class LayeredEngine:
     # ----- transforms on novel-basis GF(2) coefficient vectors ----------
 
     def forward(self, coeffs: np.ndarray, m: int) -> np.ndarray:
-        """Leaf values (uint64, depth-first order) from 2^m GF(2) coeffs.
+        """Leaf values (depth-first, in the leaves' dtype) from 2^m GF(2) coeffs.
 
         Leading axes of coeffs are batch axes; the last holds the 2^m
         coefficients of one vector.
@@ -215,19 +210,19 @@ class LayeredEngine:
         if data.shape[-1:] != (1 << m,):
             raise ValueError(f"expected 2^{m} coefficients for m={m}, got shape {data.shape}")
         batch = data.shape[:-1]
-        data = data.reshape(-1, 1 << m)
+        n = math.prod(batch)
         for layer in p.layers:
-            h = layer.length >> 1
-            src = data.reshape(len(data), layer.count, 2, h)
+            count, _, h = layer.shape
+            src = data.reshape((n,) + layer.shape)
             p0, p1 = src[:, :, 0], src[:, :, 1]
             buf = np.empty(src.shape, dtype=layer.child_dtype)
             q0 = buf[:, :, 0]
             np.bitwise_xor(p0, layer.tw(p1), out=q0)
             np.bitwise_xor(q0, p1, out=buf[:, :, 1])
-            data = buf.reshape(len(buf), -1, h)
+            data = buf.reshape(n, 2 * count, h)
             if layer.rows is not None:
                 data = np.take(data, layer.rows, axis=1)  # several times quicker than data[:, rows]
-        return data.reshape(batch + (-1,)).astype(_U)
+        return data.reshape(batch + (len(p.leaf_max),))
 
     def inverse(self, leaves: np.ndarray, m: int) -> np.ndarray:
         """Novel-basis GF(2) coefficients (uint8) back from depth-first leaf
@@ -239,30 +234,31 @@ class LayeredEngine:
         p = self.plan(m)
         data = _leaves(leaves, p)
         batch = data.shape[:-1]
-        data = data.reshape(-1, len(p.leaf_max)).astype(_dtype(p.leaf_width), copy=False)
+        n = math.prod(batch)
+        data = data.astype(_dtype(p.leaf_width), copy=False)
         for layer in reversed(p.layers):
-            h = layer.length >> 1
-            shape = (len(data), layer.count, 2, h)
-            out = np.empty(shape, dtype=layer.dtype)
-            p1 = out[:, :, 1]
-            if layer.rows is None:
+            count, _, h = layer.shape
+            shape = (n,) + layer.shape
+            if layer.rows is None:  # the root: every segment branches
                 q = data.reshape(shape)
-                np.bitwise_xor(q[:, :, 0], q[:, :, 1], out=p1)
             else:
                 q = np.zeros(shape, dtype=layer.child_dtype)
-                q.reshape(len(q), -1, h)[:, layer.rows] = data.reshape(len(data), -1, h)
-                np.right_shift(q[:, :, 0], layer.shift, out=p1)
-                p1 ^= q[:, :, 1]
+                q.reshape(n, 2 * count, h)[:, layer.rows] = data.reshape(n, len(layer.rows), h)
+            out = np.empty(shape, dtype=layer.dtype)
+            p1 = out[:, :, 1]
+            np.right_shift(q[:, :, 0], layer.shift, out=p1)
+            p1 ^= q[:, :, 1]
             # on truncated rows the top halves of q0 and tw * p1 cancel
             np.bitwise_xor(q[:, :, 0], layer.tw(p1), out=out[:, :, 0])
             data = out
-        return data.reshape(batch + (-1,))
+        return data.reshape(batch + (1 << m,))
 
     def pointwise(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-        """Lane-by-lane field product of two leaf vectors (uint64).  Each
-        leaf value must lie in its orbit subfield, as in inverse."""
+        """Lane-by-lane field product of two leaf vectors, in the leaves'
+        dtype.  Each leaf value must lie in its orbit subfield, as in inverse."""
         p = self.plan(m)
-        return _mul_vec(_leaves(a, p), _leaves(b, p), p.leaf_width).astype(_U, copy=False)
+        c = _mul_vec(_leaves(a, p), _leaves(b, p), p.leaf_width)
+        return c.astype(_dtype(p.leaf_width), copy=False)
 
     # ----- packing helpers ----------------------------------------------
 

@@ -8,8 +8,9 @@ transform, multiply leaf values lane by lane, invert, convert back.  The
 pruned leaf set is closed under lane products because each lane's values
 stay in that leaf's orbit subfield.  The transform runs over GF(2^64), the
 top of Cantor's nested tower: a smaller field would give the same twiddles
-and products, so one engine serves every size, and only the 2^64 points of
-GF(2^64) bound the product.
+and products, so one engine serves every size.  Its plans stop at 2^32
+points, whose twiddles and leaf values all lie in GF(2^32), which bounds
+the product at 2^32 bits.
 
 Both halves of the pipeline around the lane products are GF(2)-linear.  Up
 to 2^10 product bits each half is applied as a Four-Russians table
@@ -285,8 +286,8 @@ def mul_fafft(a: int, b: int) -> int:
     """Transform pipeline multiplication over GF(2^64).
 
     Products of up to 2^11 bits take the tables, larger ones the engine.
-    Any product size works up to 2^64 bits, the points of the field; the
-    engine's plan raises ValueError past that.
+    Any product size works up to 2^32 bits; the engine's plan raises
+    ValueError past that.
     """
     a, b = _check_operands(a, b)
     if a == 0 or b == 0:

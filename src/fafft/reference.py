@@ -180,19 +180,19 @@ class FaftEngine:
 
     # ----- whole-polynomial entry points --------------------------------
 
-    def faft(self, f: int, m: int, counters: OpCounters | None = None) -> FaftResult:
+    def faft(self, f: int, m: int) -> FaftResult:
         """Pruned transform of a GF(2)[x] polynomial (bit i = coeff of x^i)
         of degree below 2^m."""
         m = self._check_m(m)
         n = 1 << m
         g = to_novel(f, n)
         coeffs = [(g >> i) & 1 for i in range(n)]
-        values = self.fafft_leaves(m, coeffs, counters)
+        values = self.fafft_leaves(m, coeffs)
         return FaftResult(m, self.cross_section(m), values)
 
-    def ifaft(self, values: list[int], m: int, counters: OpCounters | None = None) -> int:
+    def ifaft(self, values: list[int], m: int) -> int:
         """Inverse of faft; requires values consistent with a GF(2) preimage."""
-        coeffs = self.ifafft_leaves(m, values, counters)
+        coeffs = self.ifafft_leaves(m, values)
         if any(c > 1 for c in coeffs):
             raise ValueError("leaf values do not come from a GF(2) polynomial")
         return from_novel(sum(c << i for i, c in enumerate(coeffs)), 1 << m)

@@ -28,7 +28,7 @@ consumer reads it: count_ops, n_cross_section, cross_section, the numpy
 engine and the circuit generator.  twiddles(m) adds tw per depth for the
 two consumers that multiply, so counting builds no field table.  The
 Cantor tower is nested (s_j(v_i) for i < 2^K are the same ints at every
-height K), so one GF(2^64) table serves every field and K only bounds m.
+height K), so one GF(2^64) table serves every field and every m up to 64.
 The recursive transforms in reference.py keep their own twiddles and state
 rule as the tests' oracle.
 """

@@ -150,6 +150,20 @@ def test_bench_interleaves_timed_calls(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 1 + len(points)
 
 
+@pytest.mark.parametrize(
+    "logs",
+    [("3", "6"), ("9", "8"), ("4", "32"), ("70", "70")],
+    ids=["min-3", "min-above-max", "max-32", "min-70"],
+)
+def test_bench_size_range_is_usage_error(capsys, monkeypatch, logs):
+    # operands of 2^31 bits and more would overflow random.getrandbits
+    cli = importlib.import_module("fafft.cli")
+    monkeypatch.setattr(cli, "random", None)  # no operand is drawn
+    code = main(["bench", "--min-log", logs[0], "--max-log", logs[1], "--reps", "1"])
+    assert code == 2
+    assert "need 4 <= min-log <= max-log" in capsys.readouterr().err
+
+
 def test_gen_circuit_counts(capsys, tmp_path):
     out_file = tmp_path / "c8.slp"
     code, out = run(capsys, "gen-circuit", "--n", "8", "--out", str(out_file))

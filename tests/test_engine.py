@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fafft.basis import to_novel
-from fafft.engine import LayeredEngine, _ConstMul
+from fafft.engine import LayeredEngine, _ConstMul, _dtype
 from fafft.field import _mul_vec
+from fafft.mul import _tables
 from fafft.reference import FaftEngine
 from fafft.transform import n_cross_section, schedule
 
@@ -44,7 +45,10 @@ def test_differential_sizes_cover_every_path(lay):
     # depths where every row survives and depths that mix branch and
     # truncated rows
     assert rows == {True, False}
-    assert forms == {"int", "bits", "byte", "log", "halves16", "halves32"}
+    # every form _ConstMul defines, read from its _<form> methods, so a form
+    # that no plan here reaches fails
+    defined = {k[1:] for k in vars(_ConstMul) if k.startswith("_") and not k.startswith("__")}
+    assert forms == defined
 
 
 def _check_const_mul(mul, width, rng):
@@ -67,24 +71,13 @@ def test_planned_multipliers_match_field_product(lay):
             _check_const_mul(layer.tw, int(seg.width.max()), rng)
 
 
-def test_wide_constants_take_the_vector_product():
-    # 64-bit twiddles appear only from m = 33 on, beyond any plan that fits
-    # in memory; the form still has to be right
-    rng = np.random.default_rng(57)
-    t = np.array([0, 1, 2**64 - 1, 0x8000_0000_0000_0001], dtype=np.uint64)
-    for width in (16, 32, 64):
-        mul = _ConstMul(t, width)
-        assert mul.form == "vec" and mul.prod_width == 64
-        _check_const_mul(mul, width, rng)
-
-
 def test_forward_matches_recursive(eng, lay):
     rng = random.Random(51)
     for m in DIFF_M:
         n = 1 << m
         batch = np.stack([novel_lanes(rng, n), novel_lanes(rng, n)])
         got = lay.forward(batch, m)
-        assert got.dtype == np.uint64
+        assert got.dtype == _dtype(lay.plan(m).leaf_width)
         for lanes, leaves in zip(batch, got):
             assert leaves.tolist() == eng.fafft_leaves(m, lanes.tolist())
             assert lay.forward(lanes, m).tolist() == leaves.tolist()
@@ -122,6 +115,25 @@ def test_pointwise_matches_field_mul(eng, lay):
         vc = lay.pointwise(va, vb, m)
         for x, y, z in zip(va.tolist(), vb.tolist(), vc.tolist()):
             assert z == eng.field.mul(x, y)
+
+
+def test_leaves_take_the_tables_dtype(lay):
+    # the engine's leaf vector is the Four-Russians tables' one, lane dtype
+    # included
+    for m in range(0, 11):
+        lanes = np.zeros(1 << m, dtype=np.uint8)
+        assert lay.forward(lanes, m).dtype == _tables(m).leaves(0, 0).dtype
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 12])
+@pytest.mark.parametrize("batch", [(0,), (2, 0)])
+def test_empty_batches(lay, m, batch):
+    # every shape comes from the plan, so a batch axis of length 0 passes
+    nleaves = len(lay.plan(m).leaf_max)
+    leaves = lay.forward(np.zeros(batch + (1 << m,), dtype=np.uint8), m)
+    assert leaves.shape == batch + (nleaves,)
+    assert lay.pointwise(leaves, leaves, m).shape == batch + (nleaves,)
+    assert lay.inverse(leaves, m).shape == batch + (1 << m,)
 
 
 def test_leaf_count(lay):

@@ -20,6 +20,7 @@ from fafft import (
     to_novel,
     verify_slp,
 )
+from fafft.engine import _dtype
 from fafft.reference import to_novel_by_division
 from fafft.transform import cross_section, schedule
 
@@ -61,6 +62,7 @@ BAD = {
     "verify trials bool": (lambda: verify_slp(gen_mul_circuit(9), trials=True), TypeError, "bool"),
     "verify trials float": (lambda: verify_slp(gen_mul_circuit(9), trials=2.5), TypeError, "float"),
     "verify circuit int": (lambda: verify_slp(123), TypeError, "int"),
+    "eval circuit int": (lambda: eval_slp(123, [1], [1]), TypeError, "int"),
     "eval plane negative": (lambda: eval_slp(C3, [-1, 0, 0], [1, 1, 1]), ValueError, "nonnegative"),
     "eval plane float": (lambda: eval_slp(C3, [1.0, 0, 0], [1, 1, 1]), TypeError, "float"),
     # size exponents are checked before any cache, where True would hit m = 1
@@ -72,6 +74,8 @@ BAD = {
     "oracle cross_section bool": (lambda: ORACLE.cross_section(True), TypeError, "bool"),
     "oracle faft bool": (lambda: ORACLE.faft(3, True), TypeError, "bool"),
     "plan bool": (lambda: LAY.plan(True), TypeError, "bool"),
+    # twiddles of 64 bits first appear at m = 33
+    "plan 33": (lambda: LAY.plan(33), ValueError, "0..32"),
     # a leaf above its orbit subfield: GF(2^16) logs at m = 9, the byte
     # table at m = 6
     "pointwise 2^20 at m=9": (pointwise(9, 1 << 20), ValueError, "subfield"),
@@ -132,4 +136,6 @@ def test_integer_likes_accepted():
     assert LAY.bits_to_lanes(0, 0).tolist() == []
     assert T1.value(np.int64(1), np.uint8(1)) == 1 and subspace_coeffs(np.int64(2)) == 0b101
     top = LAY.plan(9).leaf_max.astype(np.uint16)  # every leaf at its largest value
-    assert LAY.pointwise(top, top, 9).dtype == np.uint64
+    assert LAY.pointwise(top, top, 9).dtype == _dtype(LAY.plan(9).leaf_width)
+    # SLP text stands in for the circuit it describes
+    assert eval_slp(C3.to_slp(), [5, 3, 6], [1, 7, 2]) == eval_slp(C3, [5, 3, 6], [1, 7, 2])
