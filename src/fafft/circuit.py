@@ -383,11 +383,21 @@ def parse_slp(text: str) -> Circuit:
 
 
 def _as_circuit(circ: Circuit | str) -> Circuit:
-    """circ, parsed if SLP text; TypeError unless a Circuit or a str."""
+    """circ, parsed if SLP text; TypeError unless a Circuit or a str, and
+    ValueError naming the first fault that parse_slp would reject."""
     if isinstance(circ, str):
         return parse_slp(circ)
     if not isinstance(circ, Circuit):
         raise TypeError(f"circ must be a Circuit or SLP text, got {type(circ).__name__}")
+    n = circ.n
+    if n < 1:
+        raise ValueError(f"operand bit count n={n} is below 1")
+    for w, (op, x, y) in enumerate(circ.gates, 2 * n + 1):  # w: the gate's own wire
+        if op not in ("AND", "XOR") or not (0 <= x < w and 0 <= y < w):
+            raise ValueError(f"bad gate t{w - 2 * n - 1}: {op!r} of wires {x}, {y}")
+    wires = 2 * n + 1 + len(circ.gates)
+    if len(circ.outputs) != 2 * n - 1 or not all(0 <= r < wires for r in circ.outputs):
+        raise ValueError(f"need {2 * n - 1} outputs, each a wire in 0..{wires - 1}")
     return circ
 
 

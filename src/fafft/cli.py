@@ -101,13 +101,11 @@ def _cmd_mul(args) -> int:
 
 def _cmd_faft(args) -> int:
     eng = FaftEngine(6)
-    if args.m < 0 or args.m > eng.field.d:
-        print(f"m must be in 0..{eng.field.d}", file=sys.stderr)
+    try:
+        res = eng.faft(args.poly, args.m)
+    except ValueError as e:  # m out of range, or a degree of 2^m or more
+        print(e, file=sys.stderr)
         return 2
-    if args.poly.bit_length() > 1 << args.m:
-        print(f"polynomial degree must be below 2^{args.m}", file=sys.stderr)
-        return 2
-    res = eng.faft(args.poly, args.m)
     for pt, val in zip(res.points, res.values):
         print(f"sigma_index={pt.index} level={pt.level} orbit={pt.orbit} value={val:x}")
     if args.expand:

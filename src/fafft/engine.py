@@ -109,8 +109,7 @@ class _ConstMul:
     """
 
     def __init__(self, t: np.ndarray, width: int):
-        self.t = t
-        self.prod_width = pw = binru(max(int(t.max()).bit_length(), width))
+        pw = binru(max(int(t.max()).bit_length(), width))
         if width == 1:
             self.form, self.consts = "int", (_narrow(t),)
         elif width == 2:
@@ -158,18 +157,16 @@ class LayeredEngine:
     """Array-batched pruned transform of schedule(m).
 
     The twiddles are the same in every field of the nested tower, so one
-    engine serves every size: plan raises ValueError unless 0 <= m <= 32,
-    where every twiddle and leaf value lies in GF(2^32).  Wider ones first
-    appear at m = 33, a tree of billions of segments.  The constructor
-    ignores its optional argument, so callers written as
-    LayeredEngine(FaftEngine(6)) keep working.
+    engine serves every size up to transform._MAX_M, where plan raises
+    ValueError.  The constructor ignores its optional argument, so callers
+    written as LayeredEngine(FaftEngine(6)) keep working.
     """
 
     def __init__(self, eng=None):
         self._plans: dict[int, _Plan] = {}
 
     def plan(self, m: int) -> _Plan:
-        m = _check_m(m, 32)
+        m = _check_m(m)
         if m not in self._plans:
             self._plans[m] = self._build_plan(m)
         return self._plans[m]

@@ -6,11 +6,10 @@ convert both operands to the subspace-product basis at the smallest
 power-of-two length covering the product, evaluate with the pruned
 transform, multiply leaf values lane by lane, invert, convert back.  The
 pruned leaf set is closed under lane products because each lane's values
-stay in that leaf's orbit subfield.  The transform runs over GF(2^64), the
-top of Cantor's nested tower: a smaller field would give the same twiddles
-and products, so one engine serves every size.  Its plans stop at 2^32
-points, whose twiddles and leaf values all lie in GF(2^32), which bounds
-the product at 2^32 bits.
+stay in that leaf's orbit subfield.  Cantor's tower is nested, so every
+field gives the same twiddles and products and one engine serves every
+size.  Transforms stop at 2^32 points (transform._MAX_M), whose twiddles
+and leaf values all lie in GF(2^32), which bounds the product at 2^32 bits.
 
 Both halves of the pipeline around the lane products are GF(2)-linear.  Up
 to 2^10 product bits each half is applied as a Four-Russians table
@@ -283,7 +282,7 @@ def mul_karatsuba(a: int, b: int) -> int:
 
 
 def mul_fafft(a: int, b: int) -> int:
-    """Transform pipeline multiplication over GF(2^64).
+    """Transform pipeline multiplication over GF(2^32).
 
     Products of up to 2^11 bits take the tables, larger ones the engine.
     Any product size works up to 2^32 bits; the engine's plan raises

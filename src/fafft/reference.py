@@ -199,7 +199,7 @@ class FaftEngine:
 
     def _check_m(self, m: int) -> int:
         """m as a Python int; TypeError unless an integer, ValueError
-        unless 2^m points fit in the field."""
+        unless 0 <= m <= transform._MAX_M and 2^m points fit in the field."""
         return _check_m(m, self.field.d)
 
     def _check_size(self, k: int, seq) -> None:

@@ -28,7 +28,7 @@ consumer reads it: count_ops, n_cross_section, cross_section, the numpy
 engine and the circuit generator.  twiddles(m) adds tw per depth for the
 two consumers that multiply, so counting builds no field table.  The
 Cantor tower is nested (s_j(v_i) for i < 2^K are the same ints at every
-height K), so one GF(2^64) table serves every field and every m up to 64.
+height K), so one GF(2^32) table serves every field and every m <= _MAX_M.
 The recursive transforms in reference.py keep their own twiddles and state
 rule as the tests' oracle.
 """
@@ -104,12 +104,17 @@ class Depth(NamedTuple):
         return list(zip(*(c.tolist() for c in self)))
 
 
-def _check_m(m: int, d: int = 64) -> int:
+# The largest transform size: up to 2^32 points every twiddle and leaf value
+# lies in GF(2^32), and at m = 33 the schedule outgrows memory.
+_MAX_M = 32
+
+
+def _check_m(m: int, d: int = _MAX_M) -> int:
     """m as a Python int; TypeError unless an integer, ValueError unless
-    2^m points fit in GF(2^d)."""
+    0 <= m <= _MAX_M and 2^m points fit in GF(2^d)."""
     m = _as_int(m, "transform size exponent")
-    if not 0 <= m <= d:
-        raise ValueError(f"transform size exponent {m} outside 0..{d}")
+    if not 0 <= m <= d or m > _MAX_M:
+        raise ValueError(f"transform size exponent {m} outside 0..{min(d, _MAX_M)}")
     return m
 
 
@@ -128,8 +133,8 @@ def _per_size(f):
 
 @lru_cache(maxsize=None)
 def _twiddle_rows() -> np.ndarray:
-    """s_j(v_i) over GF(2^64), the table of every tower height at once."""
-    return TwiddleTable(CantorField(6)).rows_np()
+    """s_j(v_i) over GF(2^32), the corner of every larger field's table."""
+    return TwiddleTable(CantorField(5)).rows_np()
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -170,7 +175,7 @@ def schedule(m: int) -> tuple[Depth, ...]:
 @_per_size
 def twiddles(m: int) -> tuple[np.ndarray, ...]:
     """Uint64 twiddles tw = s_{k-1}(alpha) per segment for each of the m
-    non-leaf depths of schedule(m), from one GF(2^64) table; read-only.
+    non-leaf depths of schedule(m), from one GF(2^32) table; read-only.
 
     RuntimeError if a truncated twiddle is not v_l + (lower bits).
     """

@@ -87,6 +87,17 @@ def test_faft_degree_too_big(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m", ["33", "-1"])
+def test_faft_size_out_of_range(capsys, monkeypatch, m):
+    # the library's bound, checked before to_novel builds 2^m-bit masks
+    def fail(f, n):
+        raise AssertionError("to_novel called before the size check")
+
+    monkeypatch.setattr("fafft.reference.to_novel", fail)
+    assert main(["faft", "--poly", "1", "--m", m]) == 2
+    assert "outside 0..32" in capsys.readouterr().err
+
+
 def test_bench_csv(capsys, tmp_path):
     out_file = tmp_path / "bench.csv"
     code, out = run(
@@ -263,7 +274,7 @@ def test_usage_errors():
     assert e.value.code == 2
     for argv in (
         ["mul", "--a", "1", "--b", "1", "--method", "fft"],
-        ["--k", "6", "selftest"],  # no field option: GF(2^64) serves every size
+        ["--k", "6", "selftest"],  # no field option: the nested tower serves every size
         ["gen-circuit", "--n", "16", "--no-cse"],  # pair extraction always runs
         ["bench", "--reps", "0"],
         ["bench", "--reps", "-3"],

@@ -10,7 +10,7 @@ from fafft.engine import LayeredEngine, _ConstMul, _dtype
 from fafft.field import _mul_vec
 from fafft.mul import _tables
 from fafft.reference import FaftEngine
-from fafft.transform import n_cross_section, schedule
+from fafft.transform import n_cross_section, schedule, twiddles
 
 
 @pytest.fixture(scope="module")
@@ -51,14 +51,15 @@ def test_differential_sizes_cover_every_path(lay):
     assert forms == defined
 
 
-def _check_const_mul(mul, width, rng):
-    """A planned multiplier against the vector field product, on random
-    width-bit values, 0 and 2^width - 1 in every row."""
+def _check_const_mul(mul, t, width, rng):
+    """A planned multiplier of the twiddles t against the vector field
+    product, on random width-bit values, 0 and 2^width - 1 in every row.
+    Every product up to m = 32 lies in GF(2^32)."""
     top = (1 << width) - 1
-    x = rng.integers(0, top, (len(mul.t), 6), endpoint=True, dtype=np.uint64)
+    x = rng.integers(0, top, (len(t), 6), endpoint=True, dtype=np.uint64)
     x[:, 0], x[:, 1] = 0, top
     x = x.astype(f"uint{max(8, width)}")
-    want = _mul_vec(mul.t[:, None], x.astype(np.uint64), mul.prod_width)
+    want = _mul_vec(t[:, None], x.astype(np.uint64), 32)
     got = mul(x)
     assert got.shape == x.shape
     assert np.array_equal(got.astype(np.uint64), want.astype(np.uint64))
@@ -67,8 +68,8 @@ def _check_const_mul(mul, width, rng):
 def test_planned_multipliers_match_field_product(lay):
     rng = np.random.default_rng(56)
     for m in range(0, 21):
-        for layer, seg in zip(lay.plan(m).layers, schedule(m)):
-            _check_const_mul(layer.tw, int(seg.width.max()), rng)
+        for layer, seg, t in zip(lay.plan(m).layers, schedule(m), twiddles(m)):
+            _check_const_mul(layer.tw, t, int(seg.width.max()), rng)
 
 
 def test_forward_matches_recursive(eng, lay):

@@ -7,6 +7,7 @@ import pytest
 
 from fafft import (
     CantorField,
+    Circuit,
     FaftEngine,
     LayeredEngine,
     count_ops,
@@ -22,13 +23,14 @@ from fafft import (
 )
 from fafft.engine import _dtype
 from fafft.reference import to_novel_by_division
-from fafft.transform import cross_section, schedule
+from fafft.transform import cross_section, schedule, twiddles
 
 LAY = LayeredEngine()
 ORACLE = FaftEngine(6)
 GF4, GF16 = CantorField(1), CantorField(2)
 T1, T2 = TwiddleTable(GF4), TwiddleTable(GF16)
 C3 = gen_mul_circuit(3)
+C2 = gen_mul_circuit(2)
 
 
 def leaves(m, value=0, dtype=np.uint64):
@@ -63,6 +65,30 @@ BAD = {
     "verify trials float": (lambda: verify_slp(gen_mul_circuit(9), trials=2.5), TypeError, "float"),
     "verify circuit int": (lambda: verify_slp(123), TypeError, "int"),
     "eval circuit int": (lambda: eval_slp(123, [1], [1]), TypeError, "int"),
+    # Circuit objects that parse_slp would reject as text
+    "verify extra output": (
+        lambda: verify_slp(Circuit(2, C2.gates, C2.outputs + [5])), ValueError, "3 outputs"
+    ),
+    "verify short outputs": (
+        lambda: verify_slp(Circuit(2, C2.gates, C2.outputs[:2])), ValueError, "3 outputs"
+    ),
+    "verify output past the wires": (
+        lambda: verify_slp(Circuit(2, C2.gates, C2.outputs[:2] + [99])), ValueError, "outputs"
+    ),
+    "verify negative ref": (
+        lambda: verify_slp(Circuit(2, [("AND", -1, 1)] + C2.gates, C2.outputs)),
+        ValueError,
+        "bad gate t0",
+    ),
+    "verify forward ref": (
+        lambda: verify_slp(Circuit(2, [("AND", 1, 5)] + C2.gates, C2.outputs)),
+        ValueError,
+        "bad gate t0",
+    ),
+    "verify op OR": (
+        lambda: verify_slp(Circuit(2, C2.gates + [("OR", 1, 2)], C2.outputs)), ValueError, "'OR'"
+    ),
+    "verify n 0": (lambda: verify_slp(Circuit(0, [], [])), ValueError, "n=0"),
     "eval plane negative": (lambda: eval_slp(C3, [-1, 0, 0], [1, 1, 1]), ValueError, "nonnegative"),
     "eval plane float": (lambda: eval_slp(C3, [1.0, 0, 0], [1, 1, 1]), TypeError, "float"),
     # size exponents are checked before any cache, where True would hit m = 1
@@ -74,8 +100,15 @@ BAD = {
     "oracle cross_section bool": (lambda: ORACLE.cross_section(True), TypeError, "bool"),
     "oracle faft bool": (lambda: ORACLE.faft(3, True), TypeError, "bool"),
     "plan bool": (lambda: LAY.plan(True), TypeError, "bool"),
-    # twiddles of 64 bits first appear at m = 33
+    # twiddles of 64 bits first appear at m = 33, and its schedule outgrows
+    # memory: every per-size entry point stops at transform._MAX_M = 32
     "plan 33": (lambda: LAY.plan(33), ValueError, "0..32"),
+    "schedule 33": (lambda: schedule(33), ValueError, "0..32"),
+    "twiddles 33": (lambda: twiddles(33), ValueError, "0..32"),
+    "count_ops 33": (lambda: count_ops(33), ValueError, "0..32"),
+    "n_cross_section 33": (lambda: n_cross_section(33), ValueError, "0..32"),
+    "cross_section 33": (lambda: cross_section(33), ValueError, "0..32"),
+    "oracle cross_section 33": (lambda: ORACLE.cross_section(33), ValueError, "0..32"),
     # a leaf above its orbit subfield: GF(2^16) logs at m = 9, the byte
     # table at m = 6
     "pointwise 2^20 at m=9": (pointwise(9, 1 << 20), ValueError, "subfield"),

@@ -130,7 +130,8 @@ def test_ring_properties():
 
 def test_products_at_subfield_sizes():
     # products of exactly 2^(2^K) bits, the points of GF(2^(2^K)), and of
-    # one bit more, for the heights below the GF(2^64) the pipeline runs on
+    # one bit more, for the heights below the GF(2^32) that holds every
+    # twiddle and leaf value up to m = 32
     rng = random.Random(9)
 
     def operand(bits):

@@ -23,6 +23,21 @@ def test_no_asserts_in_package():
     assert found == []
 
 
+def test_one_size_bound():
+    # transform._MAX_M is the only bound on m: no call of _check_m in the
+    # package passes a literal one
+    found = []
+    for path in sorted(Path(fafft.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            bounds = node.args[1:] + [k.value for k in node.keywords]
+            if name == "_check_m" and any(isinstance(b, ast.Constant) for b in bounds):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _imports_reference(tree: ast.AST) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from fafft.basis import to_novel
-from fafft.field import binru
-from fafft.subspace import eval_subspace
+from fafft.field import CantorField, binru
+from fafft.subspace import TwiddleTable, eval_subspace
 from fafft import reference, transform
 from fafft.reference import FaftEngine
 from fafft.transform import (
@@ -289,7 +289,7 @@ def test_bad_inputs(eng):
         eng.ifafft_leaves(3, [0, 0])
     with pytest.raises(ValueError):
         eng.ifaft([5, 0, 3], 2)
-    for m in (-1, 65):
+    for m in (-1, 33, 65):
         with pytest.raises(ValueError):
             schedule(m)
 
@@ -300,5 +300,13 @@ def test_faft_checks_size_before_conversion(eng, monkeypatch):
         raise AssertionError("to_novel called before the size check")
 
     monkeypatch.setattr(reference, "to_novel", fail)
-    with pytest.raises(ValueError):
-        eng.faft(1, 65)
+    for m in (33, 65):
+        with pytest.raises(ValueError, match="0..32"):
+            eng.faft(1, m)
+
+
+def test_twiddle_rows_are_the_corner_of_the_tower():
+    # the nesting that lets one GF(2^32) table serve every m up to 32
+    rows = transform._twiddle_rows()
+    assert rows.shape == (32, 32)
+    assert (rows == TwiddleTable(CantorField(6)).rows_np()[:32, :32]).all()
