@@ -403,7 +403,11 @@ def _as_circuit(circ: Circuit | str) -> Circuit:
 
 def eval_slp(circ: Circuit | str, a_bits: list[int], b_bits: list[int]) -> list[int]:
     """Replay the circuit bitsliced: each wire is an int, one trial per bit."""
-    circ = _as_circuit(circ)
+    return _replay(_as_circuit(circ), a_bits, b_bits)
+
+
+def _replay(circ: Circuit, a_bits: list[int], b_bits: list[int]) -> list[int]:
+    """eval_slp on a circuit that _as_circuit has checked."""
     n = circ.n
     if len(a_bits) != n or len(b_bits) != n:
         raise ValueError(f"expected {n} bits per operand, got {len(a_bits)} and {len(b_bits)}")
@@ -464,7 +468,7 @@ def verify_slp(circ: Circuit | str, trials: int = 10_000, seed: int = 0) -> Veri
     lanes = len(pairs)
     a_bits = _planes([a for a, _ in pairs], n)
     b_bits = _planes([b for _, b in pairs], n)
-    got = eval_slp(circ, a_bits, b_bits)
+    got = _replay(circ, a_bits, b_bits)
     # bitsliced quadratic convolution
     want = [0] * (2 * n - 1)
     for i in range(n):

@@ -35,6 +35,16 @@ row offset, products of up to 16 bits the GF(2^16) logs with log t planned,
 and 32-bit products split the constant into 16-bit halves with four planned
 logs.  Only pointwise multiplies two variable arrays.
 
+Memory: at any moment a transform holds one depth's state, the buffer of
+the next and one temporary, the twiddle product of half a state.  The loops
+drop each state, and each buffer before its row gather, before the next
+depth allocates; they drop their input after the first depth, so a caller
+that keeps no reference to it (mul_fafft) frees it there.  The byte form's
+offsets are a uint16 column (t << 8 < 2^16), but np.take copies an index
+that is not intp to a full intp array, eight bytes a value, so that form
+gathers in blocks of at most _BLOCK values: its index never grows with the
+state it indexes.
+
 Everything here assumes the GF(2)-input setting: coefficient vectors are
 uint8 lanes of 0/1, leaf values lanes in the widest leaf's dtype, and in
 between each depth keeps its state in the narrowest unsigned dtype that
@@ -56,6 +66,9 @@ from .transform import _check_m, schedule, twiddles
 __all__ = ["LayeredEngine"]
 
 _U = np.uint64
+# Values per byte-form gather: np.take's intp copy of its index is 128 KiB, and
+# products up to 2^15 bits take each byte depth in one gather.
+_BLOCK = 1 << 14
 
 
 @dataclass
@@ -115,7 +128,7 @@ class _ConstMul:
         elif width == 2:
             self.form, self.consts = "bits", (_narrow(t), _narrow(_mul_vec(t, _U(2), pw)))
         elif pw <= 8:
-            self.form, self.consts = "byte", ((t << _U(8)).astype(np.intp)[:, None],)
+            self.form, self.consts = "byte", ((t << _U(8)).astype(np.uint16)[:, None],)
         elif pw <= 16:
             self.form, self.consts = "log", _logs(t)
         else:
@@ -135,7 +148,19 @@ class _ConstMul:
         return ((x & 1) * t0) ^ ((x >> 1) * t1)
 
     def _byte(self, x):
-        return _BYTE_NP.take(x + self.consts[0])
+        t = self.consts[0]
+        if x.size <= _BLOCK:
+            return _BYTE_NP.take(x + t)
+        # blocks of whole rows (axis -2), or of lanes (axis -1) while one row
+        # across the batch axes exceeds a block
+        n, h = math.prod(x.shape[:-2]), x.shape[-1]
+        rows, lanes = max(1, _BLOCK // (n * h)), max(1, _BLOCK // n)
+        out = np.empty(x.shape, _BYTE_NP.dtype)
+        for r in range(0, x.shape[-2], rows):
+            for c in range(0, h, lanes):
+                blk = (..., slice(r, r + rows), slice(c, c + lanes))
+                out[blk] = _BYTE_NP.take(x[blk] + t[r : r + rows])
+        return out
 
     def _log(self, x):
         return _EXP16.take(_LOG16.take(x) + self.consts[0])
@@ -206,20 +231,7 @@ class LayeredEngine:
         data = _coeff_lanes(coeffs)
         if data.shape[-1:] != (1 << m,):
             raise ValueError(f"expected 2^{m} coefficients for m={m}, got shape {data.shape}")
-        batch = data.shape[:-1]
-        n = math.prod(batch)
-        for layer in p.layers:
-            count, _, h = layer.shape
-            src = data.reshape((n,) + layer.shape)
-            p0, p1 = src[:, :, 0], src[:, :, 1]
-            buf = np.empty(src.shape, dtype=layer.child_dtype)
-            q0 = buf[:, :, 0]
-            np.bitwise_xor(p0, layer.tw(p1), out=q0)
-            np.bitwise_xor(q0, p1, out=buf[:, :, 1])
-            data = buf.reshape(n, 2 * count, h)
-            if layer.rows is not None:
-                data = np.take(data, layer.rows, axis=1)  # several times quicker than data[:, rows]
-        return data.reshape(batch + (len(p.leaf_max),))
+        return _forward(p, data)
 
     def inverse(self, leaves: np.ndarray, m: int) -> np.ndarray:
         """Novel-basis GF(2) coefficients (uint8) back from depth-first leaf
@@ -229,26 +241,7 @@ class LayeredEngine:
         value must lie in its orbit subfield (below 2^width).
         """
         p = self.plan(m)
-        data = _leaves(leaves, p)
-        batch = data.shape[:-1]
-        n = math.prod(batch)
-        data = data.astype(_dtype(p.leaf_width), copy=False)
-        for layer in reversed(p.layers):
-            count, _, h = layer.shape
-            shape = (n,) + layer.shape
-            if layer.rows is None:  # the root: every segment branches
-                q = data.reshape(shape)
-            else:
-                q = np.zeros(shape, dtype=layer.child_dtype)
-                q.reshape(n, 2 * count, h)[:, layer.rows] = data.reshape(n, len(layer.rows), h)
-            out = np.empty(shape, dtype=layer.dtype)
-            p1 = out[:, :, 1]
-            np.right_shift(q[:, :, 0], layer.shift, out=p1)
-            p1 ^= q[:, :, 1]
-            # on truncated rows the top halves of q0 and tw * p1 cancel
-            np.bitwise_xor(q[:, :, 0], layer.tw(p1), out=out[:, :, 0])
-            data = out
-        return data.reshape(batch + (1 << m,))
+        return _inverse(p, _leaves(leaves, p))
 
     def pointwise(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         """Lane-by-lane field product of two leaf vectors, in the leaves'
@@ -276,6 +269,47 @@ class LayeredEngine:
         if lanes.ndim != 1:
             raise ValueError(f"expected 1-D lanes, got shape {lanes.shape}")
         return int.from_bytes(np.packbits(lanes, bitorder="little").tobytes(), "little")
+
+
+def _forward(p: _Plan, data: np.ndarray) -> np.ndarray:
+    """LayeredEngine.forward on checked lanes; drops data after depth 0."""
+    batch = data.shape[:-1]
+    n = math.prod(batch)
+    for layer in p.layers:
+        count, _, h = layer.shape
+        src = data.reshape((n,) + layer.shape)
+        data = np.empty(src.shape, dtype=layer.child_dtype)
+        np.bitwise_xor(src[:, :, 0], layer.tw(src[:, :, 1]), out=data[:, :, 0])
+        np.bitwise_xor(data[:, :, 0], src[:, :, 1], out=data[:, :, 1])
+        del src  # the last reference to the old state
+        data = data.reshape(n, 2 * count, h)
+        if layer.rows is not None:
+            data = np.take(data, layer.rows, axis=1)  # several times quicker than data[:, rows]
+    return data.reshape(batch + (len(p.leaf_max),))
+
+
+def _inverse(p: _Plan, data: np.ndarray) -> np.ndarray:
+    """LayeredEngine.inverse on checked leaves; drops data at the first depth."""
+    batch = data.shape[:-1]
+    n = math.prod(batch)
+    data = data.astype(_dtype(p.leaf_width), copy=False)
+    for layer in reversed(p.layers):
+        count, _, h = layer.shape
+        shape = (n,) + layer.shape
+        if layer.rows is None:  # the root: every segment branches
+            q = data.reshape(shape)
+        else:
+            q = np.zeros(shape, dtype=layer.child_dtype)
+            q.reshape(n, 2 * count, h)[:, layer.rows] = data.reshape(n, len(layer.rows), h)
+        del data  # q holds all of the child state that is still read
+        data = np.empty(shape, dtype=layer.dtype)
+        p1 = data[:, :, 1]
+        np.right_shift(q[:, :, 0], layer.shift, out=p1)
+        p1 ^= q[:, :, 1]
+        # on truncated rows the top halves of q0 and tw * p1 cancel
+        np.bitwise_xor(q[:, :, 0], layer.tw(p1), out=data[:, :, 0])
+        del q  # before the next depth allocates its own
+    return data.reshape(batch + (1 << p.m,))
 
 
 def _leaves(x, p: _Plan) -> np.ndarray:

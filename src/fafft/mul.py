@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import from_novel, to_novel
-from .engine import LayeredEngine, _dtype
+from .engine import LayeredEngine, _dtype, _forward, _inverse
 from .field import _EXP16, _LOG16, _Q16, _as_int, _mul_vec, _span, _transpose_bits
 from .subspace import subspace_coeffs
 from .transform import schedule
@@ -296,13 +296,13 @@ def mul_fafft(a: int, b: int) -> int:
     if m <= _TABLE_MAX_M + 1:
         c = _mul_mod(m, a, b)
     else:
-        # The leaves below come from the forward transform, so they lie in
-        # their orbit subfields; they skip pointwise's check of that.
-        n, w = 1 << m, _LAYERED.plan(m).leaf_width
-        lanes = np.stack([_LAYERED.bits_to_lanes(to_novel(f, n), n) for f in (a, b)])
-        va, vb = _LAYERED.forward(lanes, m)
-        vc = _mul_vec(va, vb, w)
-        c = from_novel(_LAYERED.lanes_to_bits(_LAYERED.inverse(vc, m)), n)
+        # The lanes and leaves below are built here, so they skip the engine's
+        # input checks; no name keeps the stacked lanes, so the forward frees
+        # them after its first depth.
+        n, p = 1 << m, _LAYERED.plan(m)
+        va, vb = _forward(p, np.stack([_LAYERED.bits_to_lanes(to_novel(f, n), n) for f in (a, b)]))
+        g = _inverse(p, _mul_vec(va, vb, p.leaf_width))
+        c = from_novel(_LAYERED.lanes_to_bits(g), n)
     if c.bit_length() > need:
         raise RuntimeError(f"product has {c.bit_length()} bits, operands allow {need}")
     return c

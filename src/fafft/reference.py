@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .basis import _check_packed, from_novel, to_novel
-from .field import CantorField, binru
+from .field import CantorField, _as_int, binru
 from .subspace import TwiddleTable, subspace_coeffs
 from .transform import (
     CrossSectionPoint,
@@ -185,6 +185,8 @@ class FaftEngine:
         of degree below 2^m."""
         m = self._check_m(m)
         n = 1 << m
+        if _as_int(f, "a polynomial") >> n > 0:  # to_novel rejects a negative f
+            raise ValueError(f"polynomial degree must be below 2^{m}")
         g = to_novel(f, n)
         coeffs = [(g >> i) & 1 for i in range(n)]
         values = self.fafft_leaves(m, coeffs)

@@ -85,6 +85,11 @@ def test_faft_dump_twiddles(capsys):
 def test_faft_degree_too_big(capsys):
     code = main(["faft", "--poly", "1ff", "--m", "3"])
     assert code == 2
+    assert "polynomial degree must be below 2^3" in capsys.readouterr().err
+    # the library names the degree, not basis's packed-vector length
+    with pytest.raises(ValueError, match=r"polynomial degree must be below 2\^3"):
+        FaftEngine(6).faft(0x1FF, 3)
+    assert len(FaftEngine(6).faft(0xFF, 3).values) > 0  # degree 7 is the largest
 
 
 @pytest.mark.parametrize("m", ["33", "-1"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fafft.basis import to_novel
-from fafft.engine import LayeredEngine, _ConstMul, _dtype
+from fafft.engine import _BLOCK, LayeredEngine, _ConstMul, _dtype
 from fafft.field import _mul_vec
 from fafft.mul import _tables
 from fafft.reference import FaftEngine
@@ -70,6 +70,31 @@ def test_planned_multipliers_match_field_product(lay):
     for m in range(0, 21):
         for layer, seg, t in zip(lay.plan(m).layers, schedule(m), twiddles(m)):
             _check_const_mul(layer.tw, t, int(seg.width.max()), rng)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (5, 7),  # one block
+        (4, _BLOCK // 4),  # exactly one block
+        (4, _BLOCK // 4 + 1),  # blocks of 3 rows, the last partial
+        (40, 1000),  # blocks of 16 rows, the last partial
+        (3, _BLOCK + 5),  # one row wider than a block
+        (2, 3, _BLOCK // 2 + 3),  # a row wider than a block across the batch
+        (0, 4, 100),
+        (2, 0, 4, 100),
+    ],
+)
+def test_byte_form_blocks_match_field_product(shape):
+    rng = np.random.default_rng(57)
+    t = rng.integers(1, 256, shape[-2], dtype=np.uint64)
+    mul = _ConstMul(t, 8)
+    assert mul.form == "byte"
+    # a strided view, as forward hands the multiplier each segment's p1
+    x = rng.integers(0, 256, shape[:-1] + (2 * shape[-1],), dtype=np.uint8)[..., ::2]
+    got = mul(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, _mul_vec(t[:, None], x.astype(np.uint64), 8))
 
 
 def test_forward_matches_recursive(eng, lay):

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,3 +398,22 @@ def test_numpy_integer_operands(route):
         assert c == conv_naive(int(a), int(b))
     big = np.uint64(2**64 - 1)
     assert route(big, big) == conv_naive(2**64 - 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize("m", [12, 14, 16])
+def test_engine_peak_per_product_bit(m):
+    # A warm product holds one transform state, its child and a bounded
+    # temporary at a time: 5.3-7.8 bytes per product bit at these sizes.  A
+    # full intp index of the GF(2^8) gather made it 10.0-16.6.
+    rng = random.Random(m)
+    n = 1 << (m - 1)
+    a, b = (rng.getrandbits(n) | (1 << (n - 1)) for _ in range(2))
+    want = mul_fafft(a, b)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert mul_fafft(a, b) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.0 * (1 << m)
