@@ -18,7 +18,7 @@ from pathlib import Path
 from .basis import from_novel, to_novel
 from .circuit import gen_mul_circuit, parse_slp, verify_slp
 from .field import CantorField
-from .mul import mul, mul_fafft, mul_karatsuba, mul_schoolbook
+from .mul import ROUTES, mul, mul_fafft, mul_schoolbook
 from .reference import FaftEngine, to_novel_by_division
 
 __all__ = ["main"]
@@ -56,11 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("mul", help="multiply two polynomials")
     q.add_argument("--a", type=_hex_poly, required=True, help="first operand, hex")
     q.add_argument("--b", type=_hex_poly, required=True, help="second operand, hex")
-    q.add_argument(
-        "--method",
-        choices=("fafft", "schoolbook", "karatsuba"),
-        default="fafft",
-    )
+    q.add_argument("--method", choices=tuple(ROUTES), default="fafft")
 
     q = sub.add_parser("faft", help="pruned-transform evaluations of a polynomial")
     q.add_argument("--poly", type=_hex_poly, required=True, help="polynomial, hex")
@@ -75,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reps", type=lambda s: _count(s, 1), default=3,
         help="timed rounds, each one call per size and method",
     )
-    q.add_argument("--csv", type=Path, default=None, help="also write the CSV here")
     q.add_argument(
         "--json", type=Path, default=None, help="also write the rows and a machine record here"
     )
@@ -122,20 +117,15 @@ def _cmd_bench(args) -> int:
     if not 4 <= args.min_log <= args.max_log <= 31:
         print("need 4 <= min-log <= max-log <= 31", file=sys.stderr)
         return 2
-    if not all(_write(path, "") for path in (args.csv, args.json) if path is not None):
+    if args.json is not None and not _write(args.json, ""):
         return 2  # a bad path exits before any product runs
     rng = random.Random(args.seed)
-    methods = (
-        ("fafft", mul_fafft),
-        ("schoolbook", mul_schoolbook),
-        ("karatsuba", mul_karatsuba),
-    )
     points = []  # (log_bits, method name, method, a, b), one per row
     for logn in range(args.min_log, args.max_log + 1):
         half = (1 << logn) // 2
         a = rng.getrandbits(half) | (1 << (half - 1))
         b = rng.getrandbits(half) | (1 << (half - 1))
-        points += [(logn, name, f, a, b) for name, f in methods]
+        points += [(logn, name, f, a, b) for name, f in ROUTES.items()]
     for _, _, f, a, b in points:
         f(a, b)  # warm any cached plans before timing
     # Each round times every point once, so a host slow spell spreads over
@@ -170,8 +160,6 @@ def _cmd_bench(args) -> int:
         for r in rows
     )
     sys.stdout.write(text)
-    if args.csv is not None and not _write(args.csv, text):
-        return 2
     if args.json is not None:
         import json
 

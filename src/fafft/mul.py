@@ -1,15 +1,16 @@
 """Multiplication in GF(2)[x] on bit-packed operands (bit i = coeff of x^i).
 
-Three routes: a byte-windowed shift/XOR convolution (quadratic, the baseline
-oracle), plain Karatsuba on the packed ints, and the transform pipeline:
-convert both operands to the subspace-product basis at the smallest
-power-of-two length covering the product, evaluate with the pruned
-transform, multiply leaf values lane by lane, invert, convert back.  The
-pruned leaf set is closed under lane products because each lane's values
-stay in that leaf's orbit subfield.  Cantor's tower is nested, so every
-field gives the same twiddles and products and one engine serves every
-size.  Transforms stop at 2^32 points (transform._MAX_M), whose twiddles
-and leaf values all lie in GF(2^32), which bounds the product at 2^32 bits.
+Three routes, named once in ROUTES: a byte-windowed shift/XOR convolution
+(quadratic, the baseline oracle), plain Karatsuba on the packed ints, and
+the transform pipeline: convert both operands to the subspace-product basis
+at the smallest power-of-two length covering the product, evaluate with the
+pruned transform, multiply leaf values lane by lane, invert, convert
+back.  The pruned leaf set is closed under lane products because each lane's
+values stay in that leaf's orbit subfield.  Cantor's tower is nested, so
+every field gives the same twiddles and products and one engine serves
+every size.  Transforms stop at 2^32 points (transform._MAX_M), whose
+twiddles and leaf values all lie in GF(2^32), which bounds the product at
+2^32 bits.
 
 Both halves of the pipeline around the lane products are GF(2)-linear.  Up
 to 2^10 product bits each half is applied as a Four-Russians table
@@ -120,8 +121,7 @@ class _Tables:
     def leaves(self, a: int, b: int) -> np.ndarray:
         """The leaf vectors of two operands of at most 2^m bits, one row
         each."""
-        raw = a.to_bytes(self.nbytes, "little") + b.to_bytes(self.nbytes, "little")
-        rows = _chunks(np.frombuffer(raw, dtype=np.uint8), self.chunk) + self._fwd_rows
+        rows = _chunks(_pair_bytes(a, b, self.nbytes), self.chunk) + self._fwd_rows
         parts = np.take(self.fwd, rows, axis=0).reshape(2, len(rows) // 2, -1)
         return np.bitwise_xor.reduce(parts, axis=1).view(self.dtype)[:, : self.nleaves]
 
@@ -170,6 +170,11 @@ def _chunk_table(units: np.ndarray, c: int) -> np.ndarray:
 def _chunk_offsets(nbytes: int, c: int) -> np.ndarray:
     """The first table row of each c-bit chunk of nbytes bytes."""
     return np.arange(nbytes * 8 // c, dtype=np.intp) << c
+
+
+def _pair_bytes(a: int, b: int, nbytes: int) -> np.ndarray:
+    """The little-endian bytes of a, then of b, nbytes each, as one uint8 array."""
+    return np.frombuffer(a.to_bytes(nbytes, "little") + b.to_bytes(nbytes, "little"), np.uint8)
 
 
 def _chunks(raw: np.ndarray, c: int) -> np.ndarray:
@@ -297,10 +302,12 @@ def mul_fafft(a: int, b: int) -> int:
         c = _mul_mod(m, a, b)
     else:
         # The lanes and leaves below are built here, so they skip the engine's
-        # input checks; no name keeps the stacked lanes, so the forward frees
-        # them after its first depth.
+        # input checks; no name keeps the operands' bytes or lanes, so the
+        # bytes go with the unpack and the lanes after the forward's first depth.
         n, p = 1 << m, _LAYERED.plan(m)
-        va, vb = _forward(p, np.stack([_LAYERED.bits_to_lanes(to_novel(f, n), n) for f in (a, b)]))
+        va, vb = _forward(p, np.unpackbits(
+            _pair_bytes(to_novel(a, n), to_novel(b, n), n // 8), bitorder="little"
+        ).reshape(2, n))
         g = _inverse(p, _mul_vec(va, vb, p.leaf_width))
         c = from_novel(_LAYERED.lanes_to_bits(g), n)
     if c.bit_length() > need:
@@ -308,13 +315,15 @@ def mul_fafft(a: int, b: int) -> int:
     return c
 
 
+# The multiplication routes by name, in the order the front ends list them.
+ROUTES = {"fafft": mul_fafft, "schoolbook": mul_schoolbook, "karatsuba": mul_karatsuba}
+
+
 def mul(a: int, b: int, method: str = "fafft") -> int:
-    """Multiply two GF(2)[x] polynomials by the chosen route."""
-    a, b = _check_operands(a, b)
-    if method == "fafft":
-        return mul_fafft(a, b)
-    if method == "schoolbook":
-        return mul_schoolbook(a, b)
-    if method == "karatsuba":
-        return mul_karatsuba(a, b)
-    raise ValueError(f"unknown method {method!r}")
+    """Multiply two GF(2)[x] polynomials by the route ROUTES names; ValueError
+    for any other method.  The route checks the operands."""
+    try:
+        route = ROUTES[method]
+    except (KeyError, TypeError):  # TypeError: an unhashable method
+        raise ValueError(f"unknown method {method!r}") from None
+    return route(a, b)

@@ -1,6 +1,6 @@
 """Bad input at the public entry points: TypeError where an int is due and
 something else arrives, ValueError for values outside their domain.  The
-multiplication routes have their own table in test_mul."""
+multiplication routes' operand types have their own tests in test_mul."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from fafft import (
     eval_slp,
     from_novel,
     gen_mul_circuit,
+    mul,
     TwiddleTable,
     eval_subspace,
     n_cross_section,
@@ -130,6 +131,17 @@ BAD = {
     "eval_subspace 999 in GF(4)": (lambda: eval_subspace(GF4, 0, 999), ValueError, "outside"),
     "eval_subspace negative": (lambda: eval_subspace(GF16, 0, -5), ValueError, "outside"),
     "eval_subspace bool": (lambda: eval_subspace(GF16, 1, True), TypeError, "bool"),
+    # mul() takes its route from fafft.mul.ROUTES, and the route checks the
+    # operands
+    "mul method unknown": (lambda: mul(1, 1, "fft"), ValueError, "unknown method 'fft'"),
+    "mul method int": (lambda: mul(1, 1, 3), ValueError, "unknown method 3"),
+    "mul method None": (lambda: mul(1, 1, None), ValueError, "unknown method None"),
+    "mul method list": (lambda: mul(1, 1, ["fafft"]), ValueError, "unknown method \\['fafft'\\]"),
+    "mul operand float": (lambda: mul(1.5, 1), TypeError, "float"),
+    "mul operand bool": (lambda: mul(1, True, "schoolbook"), TypeError, "bool"),
+    "mul operand str": (lambda: mul("3", 1, "karatsuba"), TypeError, "str"),
+    "mul operand negative": (lambda: mul(1, -1, "karatsuba"), ValueError, "nonnegative"),
+    "mul operand negative fafft": (lambda: mul(-1, 1), ValueError, "nonnegative"),
     # lane packing kept only the low n bits
     "bits_to_lanes 3 in 1 bit": (lambda: LAY.bits_to_lanes(3, 1), ValueError, "2\\^n"),
     "bits_to_lanes 0xff in 4 bits": (lambda: LAY.bits_to_lanes(0xFF, 4), ValueError, "2\\^n"),
