@@ -25,32 +25,46 @@ tw * p1 is v_l * p1 = p1 << l, which is the top half of q0: the two cancel.
 Every multiplication in the transform is a twiddle product: each segment's
 row times one constant, fixed before any data arrives.  So the plan turns
 each depth's tw into one constant multiplier (_ConstMul), which forward and
-inverse share.  Its form follows from two widths alone: the value width
-binru(max l), and the product width, which also holds the constants.
-Single-bit values take an integer multiply and 2-bit values two bit images
-of the constant (a constant multiply is GF(2)-linear), so neither builds an
-index array.
-Products of up to 8 bits take one gather in the GF(2^8) table at a planned
-row offset, products of up to 16 bits the GF(2^16) logs with log t planned,
-and 32-bit products split the constant into 16-bit halves with four planned
-logs.  Only pointwise multiplies two variable arrays.
+inverse share.  Its form follows from the product width, which also holds
+the constants: products of up to 8 bits take one gather in the GF(2^8)
+table at a planned row offset, products of up to 16 bits the GF(2^16) logs
+with log t planned, and 32-bit products split the constant into 16-bit
+halves with four planned logs.  Only pointwise multiplies two variable
+arrays.
+
+The top depths take no per-depth steps on the data.  Through depths 0..d-1
+(d = min(m, 5)) position i < L = 2^(m-d) of every segment sees only the 2^d
+coefficients at i + kL, k < 2^d, and every position runs them through the
+same GF(2)-linear map to its depth-d state: at most 8 segments of at most
+8 bits, 2^d bits in all.  So each plan runs its own layers 0..d-1 once on
+unit inputs at one position and keeps that map as two Four-Russians tables
+(Arlazarov et al. 1970): forward, one 256-row table per index byte of 8
+coefficients, whose rows hold the 8 state bytes as a uint64; inverse, one
+per state byte, whose rows hold the position's coefficients in index
+bytes.  The index bytes come from the packed coefficients by one 8 x 8 bit
+transpose per 64-bit word (_Bits), so forward takes and inverse returns
+packed bytes, little-endian, and no array of one bit per byte is built.
+The inverse checks that the depth-d state lies in its subfields, one AND
+per state byte, before the table drops the bits above each width.
 
 Memory: at any moment a transform holds one depth's state, the buffer of
-the next and one temporary, the twiddle product of half a state.  The loops
-drop each state, and each buffer before its row gather, before the next
-depth allocates; they drop their input after the first depth, so a caller
-that keeps no reference to it (mul_fafft) frees it there.  The byte form's
-offsets are a uint16 column (t << 8 < 2^16), but np.take copies an index
-that is not intp to a full intp array, eight bytes a value, so that form
-gathers in blocks of at most _BLOCK values: its index never grows with the
-state it indexes.
+the next and one temporary, the twiddle product of half a state; the
+tables' part holds the index bytes, the gathered words and np.take's intp
+copy of one index row.  The loops drop each state, and each buffer before
+its row gather, before the next depth allocates; forward drops its input
+once it has the index bytes, so a caller that keeps no reference to it
+(mul_fafft) frees it there.  The byte form's offsets are a uint16 column
+(t << 8 < 2^16), but np.take copies an index that is not intp to a full
+intp array, eight bytes a value, so that form gathers in blocks of at most
+_BLOCK values: its index never grows with the state it indexes.
 
 Everything here assumes the GF(2)-input setting: coefficient vectors are
-uint8 lanes of 0/1, leaf values lanes in the widest leaf's dtype, and in
-between each depth keeps its state in the narrowest unsigned dtype that
-holds its values, so the wide top depths move one byte per lane.  A plan
-built once per m is reused across calls.  Leading axes of the arrays passed
-in are batch axes, so both operands of a product share one forward.
+packed bits (LayeredEngine's forward and inverse take and return uint8
+lanes of 0/1 and pack them at the boundary), leaf values lanes in the
+widest leaf's dtype, and in between each depth keeps its state in the
+narrowest unsigned dtype that holds its values.  A plan built once per m is
+reused across calls.  Leading axes of the arrays passed in are batch axes,
+so both operands of a product share one forward.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _BYTE_NP, _EXP16, _LOG16, _as_int, _mul_vec, binru
+from .field import _BYTE_NP, _EXP16, _LOG16, _as_int, _mul_vec, _span, _transpose8, binru
 from .transform import _check_m, schedule, twiddles
 
 __all__ = ["LayeredEngine"]
@@ -69,6 +83,7 @@ _U = np.uint64
 # Values per byte-form gather: np.take's intp copy of its index is 128 KiB, and
 # products up to 2^15 bits take each byte depth in one gather.
 _BLOCK = 1 << 14
+_TOP = 5  # depths run as tables: 2^5 coefficients to at most 8 state bytes
 
 
 @dataclass
@@ -81,22 +96,63 @@ class _Layer:
     shift: np.ndarray  # uint8 (count, 1): l on truncated rows, 0 elsewhere
 
 
+class _Bits:
+    """The bit transpose between 2^m packed coefficients and index bytes.
+
+    Coefficient kL + i is row k at position i (L = 2^(m-d), rows k < 2^d).
+    From L = 8 up, one 64-bit word holds byte s of 8 rows, an 8 x 8 bit
+    block whose transpose is 8 index bytes, one per position 8s + t, each
+    with 8 of the position's rows.  Below that the words are 8 consecutive
+    bytes, zero-padded to a whole word: a byte holds 8 / L rows, and an
+    index byte still holds rows of one position, only other ones.  Either
+    way index byte q is position q mod L of chunk q // L.
+    """
+
+    def __init__(self, m: int):
+        self.L = 1 << (m - min(m, _TOP))
+        self.nbytes = -(-(1 << m) // 8)  # packed bytes
+        self.words = -(-self.nbytes // 8)  # 64-bit words once padded
+        self.group = max(1, self.L // 8)  # bytes of one row in a word
+        self.chunks = 8 * self.words // self.L  # index bytes per position: 4, or 8 below m = 6
+
+    def index(self, x: np.ndarray) -> np.ndarray:
+        """The (n, chunks, L) index bytes of packed coefficients x, (n, nbytes)."""
+        n, g = len(x), self.group
+        if self.nbytes == 8 * self.words:  # rows of a word together, in a copy
+            w = x.reshape(n, self.words // g, 8, g).transpose(0, 1, 3, 2).copy()
+        else:  # one word, consecutive bytes
+            w = np.zeros((n, 8), dtype=np.uint8)
+            w[:, : self.nbytes] = x
+        _transpose8(w.reshape(n, 8 * self.words).view(_U))
+        return w.reshape(n, self.chunks, self.L)
+
+    def packed(self, y: np.ndarray) -> np.ndarray:
+        """Packed coefficients (n, nbytes) from the index bytes y, (n, L,
+        chunks): the gathered words of inverse, as bytes."""
+        n, g = len(y), self.group
+        w = y.transpose(0, 2, 1).copy()
+        _transpose8(w.reshape(n, 8 * self.words).view(_U))
+        if self.nbytes < 8 * self.words:
+            return w.reshape(n, 8)[:, : self.nbytes]
+        return w.reshape(n, self.words // g, g, 8).transpose(0, 1, 3, 2).reshape(n, self.nbytes)
+
+
 @dataclass
 class _Plan:
     m: int
-    layers: list[_Layer]
+    layers: list[_Layer]  # every depth; the data runs those from top on
     leaf_max: np.ndarray  # uint64: largest value a leaf can hold, 2^width - 1
     leaf_width: int  # widest leaf
+    top: int  # d = min(m, _TOP): the depths the tables run
+    bits: _Bits
+    fwd: np.ndarray  # uint64 (chunks, 256): depth-d state bytes per index byte
+    inv: np.ndarray  # (segments, 256), chunks bytes: index bytes per state byte
+    high: np.ndarray  # uint8 (segments, 1): the bits above each depth-d width
 
 
 def _dtype(width: int) -> np.dtype:
     """Narrowest unsigned dtype for values of width bits (a power of two)."""
     return np.dtype(f"uint{max(8, width)}")
-
-
-def _narrow(t: np.ndarray) -> np.ndarray:
-    """Per-row constants as a (count, 1) column of the narrowest dtype."""
-    return t.astype(np.min_scalar_type(int(t.max())))[:, None]
 
 
 def _logs(*ts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -107,11 +163,8 @@ def _logs(*ts: np.ndarray) -> tuple[np.ndarray, ...]:
 class _ConstMul:
     """Products of per-row constants t with width-bit values, planned once.
 
-    The form follows from the value width and the product width alone:
+    The form follows from the product width alone:
 
-    - "int": single-bit values, one integer multiply;
-    - "bits": 2-bit values as two bit images, (x & 1) t ^ (x >> 1) (t v_1),
-      since a constant multiply is GF(2)-linear;
     - "byte": products of at most 8 bits, one gather in the GF(2^8) table
       at the planned row offset t << 8;
     - "log": products of at most 16 bits, log t planned, one gather each
@@ -123,11 +176,7 @@ class _ConstMul:
 
     def __init__(self, t: np.ndarray, width: int):
         pw = binru(max(int(t.max()).bit_length(), width))
-        if width == 1:
-            self.form, self.consts = "int", (_narrow(t),)
-        elif width == 2:
-            self.form, self.consts = "bits", (_narrow(t), _narrow(_mul_vec(t, _U(2), pw)))
-        elif pw <= 8:
+        if pw <= 8:
             self.form, self.consts = "byte", ((t << _U(8)).astype(np.uint16)[:, None],)
         elif pw <= 16:
             self.form, self.consts = "log", _logs(t)
@@ -139,13 +188,6 @@ class _ConstMul:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self._apply(self, x)
-
-    def _int(self, x):
-        return x * self.consts[0]
-
-    def _bits(self, x):
-        t0, t1 = self.consts
-        return ((x & 1) * t0) ^ ((x >> 1) * t1)
 
     def _byte(self, x):
         t = self.consts[0]
@@ -217,7 +259,9 @@ class LayeredEngine:
             )
         widths = sched[-1].width
         leaf_max = ~_U(0) >> (64 - widths).astype(_U)
-        return _Plan(m, layers, leaf_max, int(widths.max()))
+        top, bits = min(m, _TOP), _Bits(m)
+        fwd, inv, high = _top_tables(layers[:top], sched[top].width, bits, m)
+        return _Plan(m, layers, leaf_max, int(widths.max()), top, bits, fwd, inv, high)
 
     # ----- transforms on novel-basis GF(2) coefficient vectors ----------
 
@@ -231,7 +275,7 @@ class LayeredEngine:
         data = _coeff_lanes(coeffs)
         if data.shape[-1:] != (1 << m,):
             raise ValueError(f"expected 2^{m} coefficients for m={m}, got shape {data.shape}")
-        return _forward(p, data)
+        return _forward(p, np.packbits(data, axis=-1, bitorder="little"))
 
     def inverse(self, leaves: np.ndarray, m: int) -> np.ndarray:
         """Novel-basis GF(2) coefficients (uint8) back from depth-first leaf
@@ -241,7 +285,8 @@ class LayeredEngine:
         value must lie in its orbit subfield (below 2^width).
         """
         p = self.plan(m)
-        return _inverse(p, _leaves(leaves, p))
+        packed = _inverse(p, _leaves(leaves, p))
+        return np.unpackbits(packed, axis=-1, count=1 << m, bitorder="little")
 
     def pointwise(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         """Lane-by-lane field product of two leaf vectors, in the leaves'
@@ -271,45 +316,134 @@ class LayeredEngine:
         return int.from_bytes(np.packbits(lanes, bitorder="little").tobytes(), "little")
 
 
-def _forward(p: _Plan, data: np.ndarray) -> np.ndarray:
-    """LayeredEngine.forward on checked lanes; drops data after depth 0."""
-    batch = data.shape[:-1]
+def _forward(p: _Plan, packed: np.ndarray) -> np.ndarray:
+    """Leaf values from packed coefficient bytes, (batch..., nbytes), as in
+    LayeredEngine.forward; drops packed once it has the index bytes."""
+    batch = packed.shape[:-1]
     n = math.prod(batch)
-    for layer in p.layers:
-        count, _, h = layer.shape
-        src = data.reshape((n,) + layer.shape)
-        data = np.empty(src.shape, dtype=layer.child_dtype)
-        np.bitwise_xor(src[:, :, 0], layer.tw(src[:, :, 1]), out=data[:, :, 0])
-        np.bitwise_xor(data[:, :, 0], src[:, :, 1], out=data[:, :, 1])
-        del src  # the last reference to the old state
-        data = data.reshape(n, 2 * count, h)
+    idx = p.bits.index(packed.reshape(n, p.bits.nbytes))
+    del packed
+    # one chunk at a time: np.take copies one (n, L) index row to intp
+    words = p.fwd[0].take(idx[:, 0])
+    for g in range(1, len(p.fwd)):
+        words ^= p.fwd[g].take(idx[:, g])
+    del idx
+    count = len(p.high)
+    data = words.view(np.uint8).reshape(n, p.bits.L, 8)[:, :, :count].transpose(0, 2, 1).copy()
+    del words
+    for layer in p.layers[p.top :]:
+        data = _butterfly(layer, data, n, layer.shape[2])
         if layer.rows is not None:
             data = np.take(data, layer.rows, axis=1)  # several times quicker than data[:, rows]
     return data.reshape(batch + (len(p.leaf_max),))
 
 
 def _inverse(p: _Plan, data: np.ndarray) -> np.ndarray:
-    """LayeredEngine.inverse on checked leaves; drops data at the first depth."""
+    """Packed coefficient bytes, (batch..., nbytes), from checked leaves;
+    drops data at the first depth.  RuntimeError if the depth-d state leaves
+    its subfields."""
     batch = data.shape[:-1]
     n = math.prod(batch)
     data = data.astype(_dtype(p.leaf_width), copy=False)
-    for layer in reversed(p.layers):
-        count, _, h = layer.shape
-        shape = (n,) + layer.shape
-        if layer.rows is None:  # the root: every segment branches
-            q = data.reshape(shape)
-        else:
-            q = np.zeros(shape, dtype=layer.child_dtype)
-            q.reshape(n, 2 * count, h)[:, layer.rows] = data.reshape(n, len(layer.rows), h)
-        del data  # q holds all of the child state that is still read
-        data = np.empty(shape, dtype=layer.dtype)
-        p1 = data[:, :, 1]
-        np.right_shift(q[:, :, 0], layer.shift, out=p1)
-        p1 ^= q[:, :, 1]
-        # on truncated rows the top halves of q0 and tw * p1 cancel
-        np.bitwise_xor(q[:, :, 0], layer.tw(p1), out=data[:, :, 0])
-        del q  # before the next depth allocates its own
-    return data.reshape(batch + (1 << p.m,))
+    for layer in reversed(p.layers[p.top :]):
+        data = _scatter(layer, data, n, layer.shape[2])  # drops the child state
+        data = _unbutterfly(layer, data)
+    data = data.reshape(n, len(p.high), p.bits.L)
+    if np.bitwise_and(data, p.high).any():
+        raise RuntimeError(f"the depth-{p.top} state at m={p.m} left its subfields")
+    words = p.inv[0].take(data[:, 0])
+    for s in range(1, len(p.inv)):
+        words ^= p.inv[s].take(data[:, s])
+    del data
+    packed = p.bits.packed(words.view(np.uint8).reshape(n, p.bits.L, p.bits.chunks))
+    return packed.reshape(batch + (p.bits.nbytes,))
+
+
+def _butterfly(layer: _Layer, data: np.ndarray, n: int, h: int) -> np.ndarray:
+    """One forward depth on n states of layer.shape at half length h: q0 and
+    q1 of every segment in a fresh (n, 2 * segments, h) buffer."""
+    src = data.reshape((n,) + layer.shape[:2] + (h,))
+    out = np.empty(src.shape, dtype=layer.child_dtype)
+    np.bitwise_xor(src[:, :, 0], layer.tw(src[:, :, 1]), out=out[:, :, 0])
+    np.bitwise_xor(out[:, :, 0], src[:, :, 1], out=out[:, :, 1])
+    return out.reshape(n, 2 * layer.shape[0], h)
+
+
+def _scatter(layer: _Layer, data: np.ndarray, n: int, h: int) -> np.ndarray:
+    """The child state of layer as n (segments, 2, h) blocks, q1 = 0 on the
+    truncated segments."""
+    shape = (n,) + layer.shape[:2] + (h,)
+    if layer.rows is None:  # every segment branches
+        return data.reshape(shape)
+    q = np.zeros(shape, dtype=layer.child_dtype)
+    q.reshape(n, 2 * layer.shape[0], h)[:, layer.rows] = data.reshape(n, len(layer.rows), h)
+    return q
+
+
+def _unbutterfly(layer: _Layer, q: np.ndarray) -> np.ndarray:
+    """Undo one forward depth on the scattered child state q."""
+    out = np.empty(q.shape, dtype=layer.dtype)
+    p1 = out[:, :, 1]
+    np.right_shift(q[:, :, 0], layer.shift, out=p1)
+    p1 ^= q[:, :, 1]
+    # on truncated rows the top halves of q0 and tw * p1 cancel
+    np.bitwise_xor(q[:, :, 0], layer.tw(p1), out=out[:, :, 0])
+    return out
+
+
+def _top_tables(layers: list[_Layer], widths: np.ndarray, bits: _Bits, m: int):
+    """fwd, inv and high of the plan at 2^m points, whose layers 0..d-1 are
+    layers, whose depth-d segments have widths and whose index bytes bits
+    lays out: the plan's own steps on unit inputs at one position.
+
+    RuntimeError unless every subfield unit state inverts to 0/1
+    coefficients and every unit coefficient vector round-trips through both
+    tables inside the subfields.
+    """
+    d, count = len(layers), len(widths)
+    rows = 1 << d
+    # The index bytes of row k's coefficient at position 0, through the
+    # transpose the data takes; every L >= 8 shares the layout of L = 8.
+    probe = _Bits(min(m, 8))
+    at = np.arange(rows) * probe.L
+    x = np.zeros((rows, probe.nbytes), dtype=np.uint8)
+    x[np.arange(rows), at >> 3] = 1 << (at & 7)
+    unit = np.ascontiguousarray(probe.index(x)[:, :, 0])  # (rows, chunks)
+    planes = np.unpackbits(unit[:, :, None], axis=2, bitorder="little")  # (rows, chunks, 8)
+    # forward: the depth-d state of each unit coefficient, one byte a segment
+    state = np.eye(rows, dtype=np.uint8)
+    for j, layer in enumerate(layers):
+        state = _butterfly(layer, state, rows, 1 << (d - j - 1))
+        if layer.rows is not None:
+            state = np.take(state, layer.rows, axis=1)
+    image = np.zeros((rows, 8), dtype=np.uint8)
+    image[:, :count] = state.reshape(rows, count)
+    cols = np.bitwise_xor.reduce(image.view(_U)[:, :, None] * planes, axis=0)  # (chunks, 8)
+    fwd = np.ascontiguousarray(_span(cols.T).T)
+    # inverse: the index bytes of each unit state inside the subfields
+    seg = np.repeat(np.arange(count), widths)
+    bit = np.arange(len(seg)) - np.repeat(np.cumsum(widths) - widths, widths)
+    coeffs = np.zeros((len(seg), count, 1), dtype=np.uint8)
+    coeffs[np.arange(len(seg)), seg, 0] = 1 << bit
+    for j in reversed(range(d)):
+        coeffs = _unbutterfly(layers[j], _scatter(layers[j], coeffs, len(seg), 1 << (d - j - 1)))
+    coeffs = coeffs.reshape(len(seg), rows)
+    if coeffs.max(initial=0) > 1:
+        raise RuntimeError(f"a depth-{d} unit state at m={m} inverts to coefficients outside GF(2)")
+    dtype = np.dtype(f"<u{bits.chunks}")
+    cols = np.zeros((8, count), dtype=dtype)
+    cols[bit, seg] = np.bitwise_xor.reduce(coeffs[:, :, None] * unit, axis=1).view(dtype)[:, 0]
+    inv = np.ascontiguousarray(_span(cols).T)
+    high = (0xFF << widths & 0xFF).astype(np.uint8)[:, None]
+    # every unit coefficient: index bytes -> state bytes -> index bytes
+    got = np.bitwise_xor.reduce(fwd[np.arange(bits.chunks), unit], axis=1)
+    got = got.view(np.uint8).reshape(rows, 8)[:, :count]
+    back = np.bitwise_xor.reduce(inv[np.arange(count), got], axis=1)
+    if (got & high.T).any() or not np.array_equal(back, unit.view(dtype)[:, 0]):
+        raise RuntimeError(f"the depth-{d} tables at m={m} do not invert each other")
+    for a in (fwd, inv, high):
+        a.setflags(write=False)
+    return fwd, inv, high
 
 
 def _leaves(x, p: _Plan) -> np.ndarray:

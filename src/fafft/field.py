@@ -131,18 +131,28 @@ def _transpose_bits(x: np.ndarray) -> np.ndarray:
     s being column 8 s + i: row 8 s + i of the result holds bit i of byte s
     of every row of x, packed the same way.
 
-    Each 8 x 8 block is one uint64, transposed by three delta swaps (Hacker's
-    Delight, section 7-3).
+    Each 8 x 8 block is one uint64, transposed by _transpose8.
     """
     rows, nbytes = x.shape
     blocks = np.zeros((nbytes, -(-rows // 8) * 8), dtype=np.uint8)
     blocks[:, :rows] = x.T
-    w = blocks.view("<u8").astype(np.uint64)
-    for shift, mask in _DELTA_SWAPS:
-        t = (w ^ (w >> shift)) & mask
-        w ^= t ^ (t << shift)
+    w = _transpose8(blocks.view("<u8").astype(np.uint64))
     out = w.astype("<u8").view(np.uint8).reshape(nbytes, -1, 8)
     return out.transpose(0, 2, 1).reshape(8 * nbytes, -1)
+
+
+def _transpose8(w: np.ndarray) -> np.ndarray:
+    """Transpose the 8 x 8 bit block of every uint64 of w in place, byte i
+    being row i: bit j of byte i trades places with bit i of byte j.  Three
+    delta swaps (Hacker's Delight, section 7-3), one temporary."""
+    for shift, mask in _DELTA_SWAPS:
+        t = w >> shift
+        t ^= w
+        t &= mask
+        w ^= t
+        t <<= shift
+        w ^= t
+    return w
 
 
 # GF(256) product table at index (a << 8) | b: the span over the rows v_i * b

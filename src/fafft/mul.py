@@ -301,15 +301,13 @@ def mul_fafft(a: int, b: int) -> int:
     if m <= _TABLE_MAX_M + 1:
         c = _mul_mod(m, a, b)
     else:
-        # The lanes and leaves below are built here, so they skip the engine's
-        # input checks; no name keeps the operands' bytes or lanes, so the
-        # bytes go with the unpack and the lanes after the forward's first depth.
+        # The packed coefficients and leaves below are built here, so they skip
+        # the engine's input checks; no name keeps the operands' bytes, so
+        # they go once the forward has its index bytes.
         n, p = 1 << m, _LAYERED.plan(m)
-        va, vb = _forward(p, np.unpackbits(
-            _pair_bytes(to_novel(a, n), to_novel(b, n), n // 8), bitorder="little"
-        ).reshape(2, n))
+        va, vb = _forward(p, _pair_bytes(to_novel(a, n), to_novel(b, n), n // 8).reshape(2, n // 8))
         g = _inverse(p, _mul_vec(va, vb, p.leaf_width))
-        c = from_novel(_LAYERED.lanes_to_bits(g), n)
+        c = from_novel(int.from_bytes(g.tobytes(), "little"), n)
     if c.bit_length() > need:
         raise RuntimeError(f"product has {c.bit_length()} bits, operands allow {need}")
     return c

@@ -1,10 +1,12 @@
 """Layered array engine against the recursive reference."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
+from fafft import engine
 from fafft.basis import to_novel
 from fafft.engine import _BLOCK, LayeredEngine, _ConstMul, _dtype
 from fafft.field import _mul_vec
@@ -151,7 +153,12 @@ def test_leaves_take_the_tables_dtype(lay):
         assert lay.forward(lanes, m).dtype == _tables(m).leaves(0, 0).dtype
 
 
-@pytest.mark.parametrize("m", [0, 1, 3, 12])
+# m <= 4: the tables are the whole transform; 5..7: a row of L = 2^(m-5)
+# positions is shorter than a byte; 8: the first whole-byte rows
+TABLE_EDGE_M = [0, 1, 3, 4, 5, 7, 8, 12]
+
+
+@pytest.mark.parametrize("m", TABLE_EDGE_M)
 @pytest.mark.parametrize("batch", [(0,), (2, 0)])
 def test_empty_batches(lay, m, batch):
     # every shape comes from the plan, so a batch axis of length 0 passes
@@ -160,6 +167,50 @@ def test_empty_batches(lay, m, batch):
     assert leaves.shape == batch + (nleaves,)
     assert lay.pointwise(leaves, leaves, m).shape == batch + (nleaves,)
     assert lay.inverse(leaves, m).shape == batch + (1 << m,)
+
+
+@pytest.mark.parametrize("m", TABLE_EDGE_M)
+def test_batch_shapes(eng, lay, m):
+    # every vector of a (3, 2) batch as it is alone, in both directions
+    rng = random.Random(58)
+    n = 1 << m
+    lanes = np.array([novel_lanes(rng, n) for _ in range(6)]).reshape(3, 2, n)
+    leaves = lay.forward(lanes, m)
+    assert leaves.shape == (3, 2, len(lay.plan(m).leaf_max))
+    back = lay.inverse(leaves, m)
+    assert back.shape == lanes.shape and back.dtype == np.uint8
+    assert back.tolist() == lanes.tolist()
+    for i, j in np.ndindex(3, 2):
+        assert leaves[i, j].tolist() == lay.forward(lanes[i, j], m).tolist()
+        assert leaves[i, j].tolist() == eng.fafft_leaves(m, lanes[i, j].tolist())
+
+
+def test_unit_coefficients_match_recursive(eng, lay):
+    # each coefficient alone, up to the first size with whole-byte rows: a
+    # coefficient the index transpose puts in the wrong place shows here
+    for m in range(0, 9):
+        n = 1 << m
+        units = np.eye(n, dtype=np.uint8)
+        leaves = lay.forward(units, m)
+        for k in range(n):
+            assert leaves[k].tolist() == eng.fafft_leaves(m, units[k].tolist())
+        assert lay.inverse(leaves, m).tolist() == units.tolist()
+
+
+@pytest.mark.parametrize("m", [5, 6, 12])
+def test_state_outside_subfields_raises(lay, m):
+    # the plan cut at depth 5, so that inverse starts from the depth-5 state
+    # it is given: every segment narrower than a byte with the bit just
+    # above its width set, at the last position
+    p = dataclasses.replace(lay.plan(m), layers=lay.plan(m).layers[:5], leaf_width=8)
+    widths = schedule(m)[5].width
+    for s in np.flatnonzero(widths < 8):
+        state = np.zeros((len(widths), p.bits.L), dtype=np.uint8)
+        state[s, -1] = 1 << int(widths[s])
+        with pytest.raises(RuntimeError):
+            engine._inverse(p, state.reshape(-1))
+        state[s, -1] >>= 1  # the top bit of the width passes
+        engine._inverse(p, state.reshape(-1))
 
 
 def test_leaf_count(lay):

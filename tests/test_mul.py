@@ -400,11 +400,42 @@ def test_numpy_integer_operands(route):
     assert route(big, big) == conv_naive(2**64 - 1, 2**64 - 1)
 
 
-@pytest.mark.parametrize("m", [12, 14, 16])
+@pytest.mark.parametrize("m", [12, 13, 14])
+def test_engine_class_edges(m):
+    # the first and last product lengths of each of the engine's first
+    # sizes, with a 1-bit operand, operands whose low bytes are all zero and
+    # short operands, whose packed coefficients end in zero bytes
+    rng = random.Random(78 + m)
+
+    def operand(bits):
+        return rng.getrandbits(bits - 1) | (1 << (bits - 1))
+
+    for need in ((1 << (m - 1)) + 1, 1 << m):
+        half = need // 2 + 1
+        cases = [
+            (operand(half), operand(need + 1 - half)),
+            (operand(need), 1),
+            (1, 1 << (need - 1)),
+            ((1 << half) - 1, (1 << (need + 1 - half)) - 1),
+            (operand(half) & ~((1 << 512) - 1), operand(need - 7 - half) << 8),
+            (operand(need - 64), operand(65)),
+            (operand(need - 1000), operand(1001) & ~0xFFFF),
+        ]
+        for a, b in cases:
+            want = mul_schoolbook(a, b)
+            assert want.bit_length() == need
+            assert mul_fafft(a, b) == want
+            assert mul_fafft(b, a) == want
+
+
+@pytest.mark.parametrize("m", [12, 14, 16, 20])
 def test_engine_peak_per_product_bit(m):
     # A warm product holds one transform state, its child and a bounded
-    # temporary at a time: 5.3-7.8 bytes per product bit at these sizes.  A
-    # full intp index of the GF(2^8) gather made it 10.0-16.6.
+    # temporary at a time, and the top five depths run as tables on packed
+    # bits: 3.8-4.0 bytes per product bit up to 2^16 and 2.8 at 2^20, where
+    # the peak is forward depth 8.  One byte per coefficient through those
+    # depths made it 5.3-7.8, and a full intp index of the GF(2^8) gather
+    # 10.0-16.6.
     rng = random.Random(m)
     n = 1 << (m - 1)
     a, b = (rng.getrandbits(n) | (1 << (n - 1)) for _ in range(2))
@@ -416,4 +447,4 @@ def test_engine_peak_per_product_bit(m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.0 * (1 << m)
+    assert peak < 4.5 * (1 << m)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import random
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def test_one_size_bound():
             if name == "_check_m" and any(isinstance(b, ast.Constant) for b in bounds):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_product_path_moves_no_lanes():
+    # mul_fafft hands the engine packed bytes and reads packed bytes back
+    mul_module = importlib.import_module("fafft.mul")
+    tree = ast.parse(inspect.getsource(mul_module.mul_fafft))
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert names & {"packbits", "unpackbits", "lanes_to_bits", "bits_to_lanes"} == set()
 
 
 def _imports_reference(tree: ast.AST) -> bool:
