@@ -16,6 +16,7 @@ because the fold is oblivious to the data it runs on every block of the
 packed vector simultaneously under a periodic mask.  No per-block Python
 loop survives.  _folds(n) holds each level's fold, and _convert applies
 them to ints here and to wires (circuit._Wires) in the circuit generator.
+The masks are kept once per segment size, at the widest length so far.
 
 reference.to_novel_by_division is the straightforward quadratic rewrite
 (long division by the full s_k), kept as the tests' cross-check.
@@ -53,16 +54,24 @@ def _levels(m: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((mu, k, 0) for mu in range(m, k, -1)) + outer + _levels(k)
 
 
+# log2 of a segment size -> the mask of its high halves, at the widest
+# length converted so far: a shorter vector ANDs with it just the same, and
+# & of two positive ints runs over the shorter one.
+_HIGH: dict[int, int] = {}
+
+
 @lru_cache(maxsize=None)
 def _folds(n: int) -> tuple[tuple[int, int], ...]:
     """(high, d) of every level (mu, k, s) of _levels(lg n), in forward
     order: H = 2^(s + mu - 1) slots, high masks the high half of every
-    2H-slot segment, and d = H - A."""
+    2H-slot segment (and may reach past n), and d = H - A."""
     levels = _levels((n - 1).bit_length())
-    high = {s + mu: _high_mask(n, 1 << (s + mu)) for mu, _, s in levels}  # one per H
-    return tuple(
-        (high[s + mu], (1 << (s + mu - 1)) - (1 << (s + mu - 1 - k))) for mu, k, s in levels
-    )
+    narrow = [j for j in {s + mu for mu, _, s in levels} if _HIGH.get(j, 0).bit_length() < n]
+    for j in narrow:
+        _HIGH[j] = _high_mask(n, 1 << j)
+    if narrow:  # the folds cached for shorter lengths hold the narrower masks
+        _folds.cache_clear()
+    return tuple((_HIGH[s + mu], (1 << (s + mu - 1)) - (1 << (s + mu - 1 - k))) for mu, k, s in levels)
 
 
 def _radix_fwd(f, high: int, d: int):

@@ -190,7 +190,8 @@ class _Wires:
         self.refs = refs
 
     def __and__(self, mask: int) -> _Wires:
-        bits = format(mask, f"0{len(self.refs)}b")[::-1]
+        n = len(self.refs)
+        bits = format(mask & ((1 << n) - 1), f"0{n}b")[::-1]  # the mask may be wider
         return _Wires(self.bld, [r if b == "1" else ZERO for r, b in zip(self.refs, bits)])
 
     def __rshift__(self, d: int) -> _Wires:

@@ -47,16 +47,26 @@ packed bytes, little-endian, and no array of one bit per byte is built.
 The inverse checks that the depth-d state lies in its subfields, one AND
 per state byte, before the table drops the bits above each width.
 
-Memory: at any moment a transform holds one depth's state, the buffer of
-the next and one temporary, the twiddle product of half a state; the
-tables' part holds the index bytes, the gathered words and np.take's intp
-copy of one index row.  The loops drop each state, and each buffer before
-its row gather, before the next depth allocates; forward drops its input
-once it has the index bytes, so a caller that keeps no reference to it
-(mul_fafft) frees it there.  The byte form's offsets are a uint16 column
-(t << 8 < 2^16), but np.take copies an index that is not intp to a full
-intp array, eight bytes a value, so that form gathers in blocks of at most
-_BLOCK values: its index never grows with the state it indexes.
+Memory: every step runs in blocks of at most _BLOCK values of p1,
+because np.take copies an index that is not intp to a full intp array,
+eight bytes a value, and a multiplier's temporaries come to several times
+its input.  A depth's block is a range of whole segments, or a range of
+lanes while one segment across the batch exceeds a block.  The plan knows
+where each segment's child rows start (_Layer.off), so the forward writes a
+block's surviving child rows straight into the next state and the inverse
+reads them straight from it: a block whose segments all branch, or all
+truncate, works in place, and one that mixes them builds its own 2 *
+segments rows and keeps the surviving ones.  Neither a full twiddle product
+nor a buffer of all child rows exists.  The tables gather and check blocks
+of positions, and the lane products run in blocks of leaves.  So a
+transform holds one depth's state, the next one and the temporaries of one
+block; the loops drop each state before the next depth allocates, and
+forward drops its input once it has the index bytes, so a caller that
+keeps no reference to it (mul_fafft) frees it there.  A depth that fits one
+block makes one whole-array step and one row gather, as an unblocked
+transform would.  At 2^20 product bits the peak, about 1.2 MiB, is a
+32-bit depth of the forward: its state, the next one and the `halves32`
+temporaries of one block.
 
 Everything here assumes the GF(2)-input setting: coefficient vectors are
 packed bits (LayeredEngine's forward and inverse take and return uint8
@@ -70,7 +80,7 @@ so both operands of a product share one forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,8 +90,8 @@ from .transform import _check_m, schedule, twiddles
 __all__ = ["LayeredEngine"]
 
 _U = np.uint64
-# Values per byte-form gather: np.take's intp copy of its index is 128 KiB, and
-# products up to 2^15 bits take each byte depth in one gather.
+# Values per block of a step: np.take's intp copy of an index is then at most
+# 128 KiB, and products up to 2^16 bits take every depth in one block.
 _BLOCK = 1 << 14
 _TOP = 5  # depths run as tables: 2^5 coefficients to at most 8 state bytes
 
@@ -90,10 +100,13 @@ _TOP = 5  # depths run as tables: 2^5 coefficients to at most 8 state bytes
 class _Layer:
     shape: tuple[int, int, int]  # (segments, 2, half) of the state at this depth
     rows: np.ndarray | None  # surviving rows of the 2 * segments children; None: all
+    keep: np.ndarray  # bool (2 * segments,): the surviving child rows
+    off: np.ndarray  # (segments + 1,): surviving child rows before each segment
     dtype: np.dtype  # holds the values at this depth
     child_dtype: np.dtype  # holds the values one depth down
     tw: _ConstMul  # times the twiddle s_{k-1}(alpha) of each segment
     shift: np.ndarray  # uint8 (count, 1): l on truncated rows, 0 elsewhere
+    blocks: dict = field(default_factory=dict)  # _blocks per (n, h), a few at a time
 
 
 class _Bits:
@@ -182,38 +195,31 @@ class _ConstMul:
             self.form, self.consts = "log", _logs(t)
         else:
             c0, c1 = t & _U(0xFFFF), t >> _U(16)
+            l0, l1, l2, l3 = _logs(c0, _mul_vec(_U(1 << 15), c1, 16), c0 ^ c1, c1)
             self.form = "halves16" if width <= 16 else "halves32"
-            self.consts = _logs(c0, _mul_vec(_U(1 << 15), c1, 16), c0 ^ c1, c1)
-        self._apply = getattr(_ConstMul, "_" + self.form)  # unbound: no reference cycle
+            self.consts = (l0, l3) if width <= 16 else (l0, l1, l2, l3)  # x1 = 0 below 16 bits
+        self._apply = getattr(_ConstMul, "_" + self.form)  # a plain function: no reference cycle
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(self, x)
+    def __call__(self, x: np.ndarray, consts: tuple | None = None) -> np.ndarray:
+        """x times the constants of its rows (axis -2): all of them, or
+        consts, their slices for a range of rows."""
+        return self._apply(x, *(self.consts if consts is None else consts))
 
-    def _byte(self, x):
-        t = self.consts[0]
-        if x.size <= _BLOCK:
-            return _BYTE_NP.take(x + t)
-        # blocks of whole rows (axis -2), or of lanes (axis -1) while one row
-        # across the batch axes exceeds a block
-        n, h = math.prod(x.shape[:-2]), x.shape[-1]
-        rows, lanes = max(1, _BLOCK // (n * h)), max(1, _BLOCK // n)
-        out = np.empty(x.shape, _BYTE_NP.dtype)
-        for r in range(0, x.shape[-2], rows):
-            for c in range(0, h, lanes):
-                blk = (..., slice(r, r + rows), slice(c, c + lanes))
-                out[blk] = _BYTE_NP.take(x[blk] + t[r : r + rows])
-        return out
+    @staticmethod
+    def _byte(x, t):
+        return _BYTE_NP.take(x + t)
 
-    def _log(self, x):
-        return _EXP16.take(_LOG16.take(x) + self.consts[0])
+    @staticmethod
+    def _log(x, t):
+        return _EXP16.take(_LOG16.take(x) + t)
 
-    def _halves16(self, x):
-        l0, _, _, l3 = self.consts
+    @staticmethod
+    def _halves16(x, l0, l3):
         a = _LOG16.take(x)
         return _EXP16.take(a + l0) | (_EXP16.take(a + l3).astype(np.uint32) << 16)
 
-    def _halves32(self, x):
-        l0, l1, l2, l3 = self.consts
+    @staticmethod
+    def _halves32(x, l0, l1, l2, l3):
         a, b = _LOG16.take(x & 0xFFFF), _LOG16.take(x >> 16)
         lo = _EXP16.take(a + l0) ^ _EXP16.take(b + l1)
         hi = _EXP16.take(b + l2) ^ _EXP16.take(a + l3)
@@ -244,13 +250,14 @@ class LayeredEngine:
         for depth, (seg, tw) in enumerate(zip(sched, twiddles(m))):
             trunc = seg.trunc
             width = int(seg.width.max())
-            rows = None
-            if trunc.any():  # truncated segment i drops its q1, child row 2i + 1
-                rows = np.flatnonzero(np.column_stack((np.ones_like(trunc), ~trunc)))
+            # truncated segment i drops its q1, child row 2i + 1
+            keep = np.column_stack((np.ones_like(trunc), ~trunc)).reshape(-1)
             layers.append(
                 _Layer(
                     shape=(len(trunc), 2, 1 << (m - depth - 1)),
-                    rows=rows,
+                    rows=np.flatnonzero(keep) if trunc.any() else None,
+                    keep=keep,
+                    off=np.r_[0, np.cumsum(2 - trunc)],
                     dtype=_dtype(width),
                     child_dtype=_dtype(int(sched[depth + 1].width.max())),
                     tw=_ConstMul(tw, width),
@@ -285,15 +292,14 @@ class LayeredEngine:
         value must lie in its orbit subfield (below 2^width).
         """
         p = self.plan(m)
-        packed = _inverse(p, _leaves(leaves, p))
+        packed = _inverse(p, _leaves(leaves, p).astype(_dtype(p.leaf_width), copy=False))
         return np.unpackbits(packed, axis=-1, count=1 << m, bitorder="little")
 
     def pointwise(self, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
         """Lane-by-lane field product of two leaf vectors, in the leaves'
         dtype.  Each leaf value must lie in its orbit subfield, as in inverse."""
         p = self.plan(m)
-        c = _mul_vec(_leaves(a, p), _leaves(b, p), p.leaf_width)
-        return c.astype(_dtype(p.leaf_width), copy=False)
+        return _pointwise(p, *np.broadcast_arrays(_leaves(a, p), _leaves(b, p)))
 
     # ----- packing helpers ----------------------------------------------
 
@@ -323,72 +329,195 @@ def _forward(p: _Plan, packed: np.ndarray) -> np.ndarray:
     n = math.prod(batch)
     idx = p.bits.index(packed.reshape(n, p.bits.nbytes))
     del packed
-    # one chunk at a time: np.take copies one (n, L) index row to intp
-    words = p.fwd[0].take(idx[:, 0])
-    for g in range(1, len(p.fwd)):
-        words ^= p.fwd[g].take(idx[:, g])
-    del idx
     count = len(p.high)
-    data = words.view(np.uint8).reshape(n, p.bits.L, 8)[:, :, :count].transpose(0, 2, 1).copy()
-    del words
+    data = np.empty((n, count, p.bits.L), dtype=np.uint8)
+    for b in _positions(n, p.bits.L):
+        # one chunk at a time: np.take copies one (n, block) index row to intp
+        words = p.fwd[0].take(idx[:, 0, b])
+        for g in range(1, len(p.fwd)):
+            words ^= p.fwd[g].take(idx[:, g, b])
+        data[:, :, b] = words.view(np.uint8).reshape(words.shape + (8,))[:, :, :count].transpose(0, 2, 1)
+    del idx, words
     for layer in p.layers[p.top :]:
         data = _butterfly(layer, data, n, layer.shape[2])
-        if layer.rows is not None:
-            data = np.take(data, layer.rows, axis=1)  # several times quicker than data[:, rows]
     return data.reshape(batch + (len(p.leaf_max),))
 
 
 def _inverse(p: _Plan, data: np.ndarray) -> np.ndarray:
-    """Packed coefficient bytes, (batch..., nbytes), from checked leaves;
-    drops data at the first depth.  RuntimeError if the depth-d state leaves
-    its subfields."""
+    """Packed coefficient bytes, (batch..., nbytes), from checked leaves in
+    the leaves' dtype; drops data at the first depth.  RuntimeError if the
+    depth-d state leaves its subfields."""
     batch = data.shape[:-1]
     n = math.prod(batch)
-    data = data.astype(_dtype(p.leaf_width), copy=False)
     for layer in reversed(p.layers[p.top :]):
-        data = _scatter(layer, data, n, layer.shape[2])  # drops the child state
-        data = _unbutterfly(layer, data)
+        data = _unbutterfly(layer, data, n, layer.shape[2])
     data = data.reshape(n, len(p.high), p.bits.L)
-    if np.bitwise_and(data, p.high).any():
-        raise RuntimeError(f"the depth-{p.top} state at m={p.m} left its subfields")
-    words = p.inv[0].take(data[:, 0])
-    for s in range(1, len(p.inv)):
-        words ^= p.inv[s].take(data[:, s])
-    del data
+    words = np.empty((n, p.bits.L), dtype=p.inv.dtype)
+    for b in _positions(n, p.bits.L):
+        state = data[:, :, b]
+        if np.bitwise_and(state, p.high).any():
+            raise RuntimeError(f"the depth-{p.top} state at m={p.m} left its subfields")
+        w = p.inv[0].take(state[:, 0], out=words[:, b], mode="clip")  # index bytes < 256
+        for s in range(1, len(p.inv)):
+            w ^= p.inv[s].take(state[:, s])
+    del data, state
     packed = p.bits.packed(words.view(np.uint8).reshape(n, p.bits.L, p.bits.chunks))
     return packed.reshape(batch + (p.bits.nbytes,))
 
 
+def _pointwise(p: _Plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lane-by-lane field product of checked leaf vectors a and b of one
+    shape, in the leaves' dtype, in blocks of at most _BLOCK values."""
+    if a.size <= _BLOCK:
+        return _mul_vec(a, b, p.leaf_width).astype(_dtype(p.leaf_width), copy=False)
+    out = np.empty(a.shape, dtype=_dtype(p.leaf_width))
+    for c in _positions(a.size // a.shape[-1], a.shape[-1]):
+        out[..., c] = _mul_vec(a[..., c], b[..., c], p.leaf_width)
+    return out
+
+
+def _positions(n: int, length: int) -> list[slice]:
+    """Blocks of a last axis of length across n rows, at most _BLOCK values
+    each (one position a block when a row alone exceeds one)."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [slice(c, c + step) for c in range(0, length, step)]
+
+
 def _butterfly(layer: _Layer, data: np.ndarray, n: int, h: int) -> np.ndarray:
     """One forward depth on n states of layer.shape at half length h: q0 and
-    q1 of every segment in a fresh (n, 2 * segments, h) buffer."""
-    src = data.reshape((n,) + layer.shape[:2] + (h,))
-    out = np.empty(src.shape, dtype=layer.child_dtype)
-    np.bitwise_xor(src[:, :, 0], layer.tw(src[:, :, 1]), out=out[:, :, 0])
-    np.bitwise_xor(out[:, :, 0], src[:, :, 1], out=out[:, :, 1])
-    return out.reshape(n, 2 * layer.shape[0], h)
+    q1 of every branching segment and q0 of every truncated one, as the n
+    (rows, h) child states."""
+    segs = layer.shape[0]
+    src = data.reshape(n, segs, 2, h)
+    if n * segs * h <= _BLOCK:  # one block: whole arrays, then one row gather
+        out = _forward_step(layer.tw, layer.tw.consts, src, np.empty(src.shape, dtype=layer.child_dtype))
+        out = out.reshape(n, 2 * segs, h)
+        return out if layer.rows is None else np.take(out, layer.rows, axis=1)
+    out = np.empty((n, layer.off[-1], h), dtype=layer.child_dtype)
+    for s, c, lo, hi, keep, consts, _ in _blocks(layer, n, h):
+        block = src[:, s, :, c]
+        if keep is None:  # every segment branches: q0, q1 in place
+            _forward_step(layer.tw, consts, block, out[:, lo:hi].reshape(n, -1, 2, h)[..., c])
+        elif hi - lo == s.stop - s.start:  # every segment truncates: q0 in place
+            _forward_step(layer.tw, consts, block, out[:, lo:hi, c])
+        else:  # q0 and q1 of every segment, then the surviving rows
+            q = _forward_step(layer.tw, consts, block, layer.child_dtype)
+            out[:, lo:hi, c] = np.compress(keep, q.reshape(n, -1, q.shape[-1]), axis=1)
+    return out
 
 
-def _scatter(layer: _Layer, data: np.ndarray, n: int, h: int) -> np.ndarray:
-    """The child state of layer as n (segments, 2, h) blocks, q1 = 0 on the
-    truncated segments."""
-    shape = (n,) + layer.shape[:2] + (h,)
-    if layer.rows is None:  # every segment branches
-        return data.reshape(shape)
-    q = np.zeros(shape, dtype=layer.child_dtype)
-    q.reshape(n, 2 * layer.shape[0], h)[:, layer.rows] = data.reshape(n, len(layer.rows), h)
+def _unbutterfly(layer: _Layer, data: np.ndarray, n: int, h: int) -> np.ndarray:
+    """Undo one forward depth on the n child states data of layer at half
+    length h: the n (segments, 2, h) states.  A truncated segment reads
+    q1 = 0 from a zeroed buffer its child rows are scattered into."""
+    segs = layer.shape[0]
+    out = np.empty((n, segs, 2, h), dtype=layer.dtype)
+    if n * segs * h <= _BLOCK:  # one block: whole arrays
+        if layer.rows is None:
+            q = data.reshape(out.shape)
+        else:
+            q = np.zeros(out.shape, dtype=layer.child_dtype)
+            q.reshape(n, 2 * segs, h)[:, layer.rows] = data.reshape(n, len(layer.rows), h)
+        _inverse_step(layer.tw, layer.tw.consts, q, layer.shift, out)
+        return out
+    child = data.reshape(n, -1, h)
+    for s, c, lo, hi, keep, consts, shift in _blocks(layer, n, h):
+        block = out[:, s, :, c]
+        if keep is None:  # every segment branches: shift 0
+            _inverse_step(layer.tw, consts, child[:, lo:hi].reshape(n, -1, 2, h)[..., c], None, block)
+        elif hi - lo == s.stop - s.start:  # every segment truncates: q1 = 0
+            _inverse_step(layer.tw, consts, child[:, lo:hi, c], shift, block)
+        else:  # the surviving rows into zeroed q0, q1 rows of every segment
+            q = np.zeros(block.shape, dtype=layer.child_dtype)
+            q.reshape(n, -1, q.shape[-1])[:, keep] = child[:, lo:hi, c]
+            _inverse_step(layer.tw, consts, q, shift, block)
+    return out
+
+
+def _forward_step(tw: _ConstMul, consts: tuple, src: np.ndarray, q) -> np.ndarray:
+    """q0 = p0 + tw * p1 and q1 = q0 + p1 of the (n, segments, 2, h) states
+    src, with the segments' constants consts, into q: (n, segments, 2, h)
+    for both, or (n, segments, h) for q0 alone.  q a dtype: into a fresh
+    (n, segments, 2, h) array of it, made once the product's temporaries
+    are gone.  Returns q."""
+    along = 1 < src.shape[-1] <= 4  # see _along_segments
+    if along:
+        t = tw(src[:, :, 1].transpose(0, 2, 1), tuple(c.T for c in consts))
+    else:
+        t = tw(src[:, :, 1], consts)
+    if not isinstance(q, np.ndarray):
+        q = np.empty(src.shape, dtype=q)
+    q0, q1 = (q, None) if q.ndim == 3 else (q[:, :, 0], q[:, :, 1])
+    if along:
+        p0, p1, q0, q1 = _along_segments(src[:, :, 0], src[:, :, 1], q0, q1)
+        np.bitwise_xor(p0, t, out=q0, order="C")
+        if q1 is not None:
+            np.bitwise_xor(q0, p1, out=q1, order="C")
+    else:
+        np.bitwise_xor(src[:, :, 0], t, out=q0)
+        if q1 is not None:
+            np.bitwise_xor(q0, src[:, :, 1], out=q1)
     return q
 
 
-def _unbutterfly(layer: _Layer, q: np.ndarray) -> np.ndarray:
-    """Undo one forward depth on the scattered child state q."""
-    out = np.empty(q.shape, dtype=layer.dtype)
-    p1 = out[:, :, 1]
-    np.right_shift(q[:, :, 0], layer.shift, out=p1)
-    p1 ^= q[:, :, 1]
+def _inverse_step(tw: _ConstMul, consts: tuple, q: np.ndarray, shift, out: np.ndarray) -> None:
+    """p1 = (q0 >> shift) + q1 and p0 = q0 + tw * p1 into the (n, segments,
+    2, h) states out, from q: (n, segments, 2, h), or (n, segments, h) for
+    q0 alone (q1 = 0); shift None reads 0."""
+    q0, q1 = (q, None) if q.ndim == 3 else (q[:, :, 0], q[:, :, 1])
+    p0, p1 = out[:, :, 0], out[:, :, 1]
+    if 1 < out.shape[-1] <= 4:  # see _along_segments
+        q0, q1, p0, p1 = _along_segments(q0, q1, p0, p1)
+        if shift is None:
+            np.bitwise_xor(q0, q1, out=p1, order="C")
+        else:
+            np.right_shift(q0, shift.T, out=p1, order="C")
+            if q1 is not None:
+                np.bitwise_xor(p1, q1, out=p1, order="C")
+        np.bitwise_xor(q0, tw(p1, tuple(c.T for c in consts)), out=p0, order="C")
+        return
+    if shift is None:
+        np.bitwise_xor(q0, q1, out=p1)
+    else:
+        np.right_shift(q0, shift, out=p1)
+        if q1 is not None:
+            p1 ^= q1
     # on truncated rows the top halves of q0 and tw * p1 cancel
-    np.bitwise_xor(q[:, :, 0], layer.tw(p1), out=out[:, :, 0])
-    return out
+    np.bitwise_xor(q0, tw(p1, consts), out=p0)
+
+
+def _along_segments(*views):
+    """(n, segments, h) views as (n, h, segments), None as None, for ufuncs
+    run in C order along the segments, with the constants' columns as rows:
+    numpy steps a short strided last axis (h of 2..4) row by row, several
+    times slower."""
+    return [None if v is None else v.transpose(0, 2, 1) for v in views]
+
+
+def _blocks(layer: _Layer, n: int, h: int) -> list:
+    """The blocks of one depth on n states at half length h, at most _BLOCK
+    values of p1 each, planned on the first call with n and h: (segments,
+    lanes, first and stop child row, the block's part of layer.keep or None
+    when every child row survives, and its slices of the constants and of
+    the shifts).  A block is a range of whole segments, or of lanes while
+    one segment across the batch exceeds a block."""
+    blocks = layer.blocks.get((n, h))
+    if blocks is not None:
+        return blocks
+    rows, lanes = _BLOCK // (n * h), h
+    if not rows:
+        rows, lanes = 1, max(1, _BLOCK // n)
+    segs, blocks = layer.shape[0], []
+    for r in range(0, segs, rows):
+        s = slice(r, min(r + rows, segs))
+        lo, hi = int(layer.off[s.start]), int(layer.off[s.stop])
+        keep = None if hi - lo == 2 * (s.stop - s.start) else layer.keep[2 * s.start : 2 * s.stop]
+        consts = tuple(t[s] for t in layer.tw.consts)
+        blocks += [(s, slice(c, c + lanes), lo, hi, keep, consts, layer.shift[s]) for c in range(0, h, lanes)]
+    if len(layer.blocks) >= 4:  # forward, inverse and the table build use two or three
+        layer.blocks.clear()
+    layer.blocks[n, h] = blocks
+    return blocks
 
 
 def _top_tables(layers: list[_Layer], widths: np.ndarray, bits: _Bits, m: int):
@@ -414,8 +543,6 @@ def _top_tables(layers: list[_Layer], widths: np.ndarray, bits: _Bits, m: int):
     state = np.eye(rows, dtype=np.uint8)
     for j, layer in enumerate(layers):
         state = _butterfly(layer, state, rows, 1 << (d - j - 1))
-        if layer.rows is not None:
-            state = np.take(state, layer.rows, axis=1)
     image = np.zeros((rows, 8), dtype=np.uint8)
     image[:, :count] = state.reshape(rows, count)
     cols = np.bitwise_xor.reduce(image.view(_U)[:, :, None] * planes, axis=0)  # (chunks, 8)
@@ -426,7 +553,7 @@ def _top_tables(layers: list[_Layer], widths: np.ndarray, bits: _Bits, m: int):
     coeffs = np.zeros((len(seg), count, 1), dtype=np.uint8)
     coeffs[np.arange(len(seg)), seg, 0] = 1 << bit
     for j in reversed(range(d)):
-        coeffs = _unbutterfly(layers[j], _scatter(layers[j], coeffs, len(seg), 1 << (d - j - 1)))
+        coeffs = _unbutterfly(layers[j], coeffs, len(seg), 1 << (d - j - 1))
     coeffs = coeffs.reshape(len(seg), rows)
     if coeffs.max(initial=0) > 1:
         raise RuntimeError(f"a depth-{d} unit state at m={m} inverts to coefficients outside GF(2)")

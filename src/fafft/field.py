@@ -93,8 +93,9 @@ def _mul_vec(a, b, w: int):
 
     Widths up to 8 take one lookup in the GF(2^8) product table (uint8 out),
     widths up to 16 one discrete-log lookup in GF(2^16) (uint16 out), and
-    wider ones split into Karatsuba halves (uint64 out).  Put the smaller
-    operand first: it is the one that gets shifted.
+    wider ones split into Karatsuba halves (uint32 or uint64 out), which
+    hold no operand half past its one product.  Put the smaller operand
+    first: it is the one that gets shifted.
     """
     if w == 1:
         return a & b
@@ -104,15 +105,11 @@ def _mul_vec(a, b, w: int):
         return _EXP16.take(_LOG16.take(a) + _LOG16.take(b))
     h = w >> 1
     hm = (1 << h) - 1
-    a0 = a & hm
-    a1 = (a >> h) & hm
-    b0 = b & hm
-    b1 = (b >> h) & hm
-    m0 = _mul_vec(a0, b0, h)
-    m1 = _mul_vec(a1, b1, h)
-    t = _mul_vec(a0 ^ a1, b0 ^ b1, h)
+    m0 = _mul_vec(a & hm, b & hm, h)
+    m1 = _mul_vec((a >> h) & hm, (b >> h) & hm, h)
+    t = _mul_vec((a ^ (a >> h)) & hm, (b ^ (b >> h)) & hm, h)  # (a0 + a1)(b0 + b1)
     zm1 = _mul_vec(np.uint64(1 << (h - 1)), m1, h)  # zeta_{lg h} = v_{h-1}
-    return m0 ^ zm1 ^ ((t ^ m0).astype(np.uint64) << h)
+    return m0 ^ zm1 ^ np.left_shift(t ^ m0, h, dtype=f"uint{w}")
 
 
 def _span(cols) -> np.ndarray:

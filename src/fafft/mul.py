@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import from_novel, to_novel
-from .engine import LayeredEngine, _dtype, _forward, _inverse
+from .engine import LayeredEngine, _dtype, _forward, _inverse, _pointwise
 from .field import _EXP16, _LOG16, _Q16, _as_int, _mul_vec, _span, _transpose_bits
 from .subspace import subspace_coeffs
 from .transform import schedule
@@ -305,8 +305,8 @@ def mul_fafft(a: int, b: int) -> int:
         # the engine's input checks; no name keeps the operands' bytes, so
         # they go once the forward has its index bytes.
         n, p = 1 << m, _LAYERED.plan(m)
-        va, vb = _forward(p, _pair_bytes(to_novel(a, n), to_novel(b, n), n // 8).reshape(2, n // 8))
-        g = _inverse(p, _mul_vec(va, vb, p.leaf_width))
+        leaves = _forward(p, _pair_bytes(to_novel(a, n), to_novel(b, n), n // 8).reshape(2, n // 8))
+        g = _inverse(p, _pointwise(p, *leaves))
         c = from_novel(int.from_bytes(g.tobytes(), "little"), n)
     if c.bit_length() > need:
         raise RuntimeError(f"product has {c.bit_length()} bits, operands allow {need}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fafft import basis
 from fafft.basis import _levels, from_novel, to_novel
 from fafft.reference import to_novel_by_division
 from fafft.subspace import eval_subspace
@@ -144,3 +145,27 @@ def test_bad_lengths_rejected():
         to_novel(1 << 8, 8)
     with pytest.raises(ValueError):
         from_novel(-1, 8)
+
+
+def test_fold_masks_kept_once_per_segment_size(monkeypatch):
+    # a shorter conversion reuses the widest masks, so the cache holds one
+    # mask per segment size, and the folds cached for shorter lengths drop
+    # their narrower masks once a wider length arrives
+    monkeypatch.setattr(basis, "_HIGH", {})
+    basis._folds.cache_clear()
+    rng = random.Random(25)
+    try:
+        basis._folds(1 << 6)
+        for m in (14, 12, 13):
+            n = 1 << m
+            for f in (rng.getrandbits(n), (1 << n) - 1, 1 << (n - 1)):
+                g = to_novel(f, n)
+                assert g == to_novel_by_division(f, n)
+                assert from_novel(g, n) == f
+        assert sorted(basis._HIGH) == sorted({s + mu for mu, _, s in _levels(14)})
+        assert {mask.bit_length() for mask in basis._HIGH.values()} == {1 << 14}
+        kept = {id(mask) for mask in basis._HIGH.values()}
+        for m in (6, 12, 13, 14):
+            assert {id(high) for high, _ in basis._folds(1 << m)} <= kept
+    finally:
+        basis._folds.cache_clear()

@@ -77,10 +77,10 @@ def test_planned_multipliers_match_field_product(lay):
 @pytest.mark.parametrize(
     "shape",
     [
-        (5, 7),  # one block
+        (5, 7),  # part of a block
         (4, _BLOCK // 4),  # exactly one block
-        (4, _BLOCK // 4 + 1),  # blocks of 3 rows, the last partial
-        (40, 1000),  # blocks of 16 rows, the last partial
+        (4, _BLOCK // 4 + 1),  # one value past a block
+        (40, 1000),  # several blocks' worth of rows
         (3, _BLOCK + 5),  # one row wider than a block
         (2, 3, _BLOCK // 2 + 3),  # a row wider than a block across the batch
         (0, 4, 100),
@@ -88,6 +88,8 @@ def test_planned_multipliers_match_field_product(lay):
     ],
 )
 def test_byte_form_blocks_match_field_product(shape):
+    # the byte multiplier on the shapes of the blocks a depth hands it, in
+    # one piece: the blocks are the depth step's (test_blocked_depths_*)
     rng = np.random.default_rng(57)
     t = rng.integers(1, 256, shape[-2], dtype=np.uint64)
     mul = _ConstMul(t, 8)
@@ -211,6 +213,76 @@ def test_state_outside_subfields_raises(lay, m):
             engine._inverse(p, state.reshape(-1))
         state[s, -1] >>= 1  # the top bit of the width passes
         engine._inverse(p, state.reshape(-1))
+
+
+def test_state_outside_subfields_raises_in_last_block(small_blocks):
+    # blocks of 64 values over a batch of 3 check 21 positions at a time:
+    # the bad byte sits in the last, partial block of the last state
+    m = 12
+    p = dataclasses.replace(small_blocks.plan(m), layers=small_blocks.plan(m).layers[:5], leaf_width=8)
+    widths = schedule(m)[5].width
+    assert p.bits.L % (engine._BLOCK // 3)
+    s = int(np.flatnonzero(widths < 8)[-1])
+    state = np.zeros((3, len(widths), p.bits.L), dtype=np.uint8)
+    state[2, s, -1] = 1 << int(widths[s])
+    with pytest.raises(RuntimeError):
+        engine._inverse(p, state.reshape(3, -1))
+    state[2, s, -1] >>= 1  # the top bit of the width passes
+    assert engine._inverse(p, state.reshape(3, -1)).shape == (3, p.bits.nbytes)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A fresh engine whose steps run in blocks of 64 values."""
+    monkeypatch.setattr(engine, "_BLOCK", 64)
+    return LayeredEngine()
+
+
+def _block_kinds(p, n):
+    """The kinds of block the data depths of plan p run on n states."""
+    kinds = set()
+    for layer in p.layers[p.top :]:
+        segs, h = layer.shape[0], layer.shape[2]
+        if n * segs * h <= engine._BLOCK:
+            continue
+        blocks, trunc = engine._blocks(layer, n, h), ~layer.keep[1::2]
+        for s, c, lo, hi, keep, _, _ in blocks:
+            kinds.add("lanes" if c.stop - c.start < h else "rows")
+            kinds.add("branch" if keep is None else "trunc" if hi - lo == s.stop - s.start else "mixed")
+        for (s, *_), (t, *_) in zip(blocks, blocks[1:]):
+            if s.stop == t.start and trunc[s.stop - 1] != trunc[t.start]:
+                kinds.add("edge")  # a block edge between a truncated and a branching segment
+    return kinds
+
+
+def test_blocked_depths_cover_every_kind(small_blocks):
+    kinds = set()
+    for m in range(6, 13):
+        kinds |= _block_kinds(small_blocks.plan(m), 6)
+    assert kinds == {"lanes", "rows", "branch", "trunc", "mixed", "edge"}
+
+
+@pytest.mark.parametrize("m", range(6, 13))
+def test_blocked_depths_match_recursive(eng, small_blocks, m):
+    # every step in blocks of 64 values: rows, lanes, the tables' positions
+    # and the lane products, on a (3, 2) batch and on empty ones
+    rng = random.Random(60 + m)
+    n = 1 << m
+    lanes = np.array([novel_lanes(rng, n) for _ in range(6)]).reshape(3, 2, n)
+    leaves = small_blocks.forward(lanes, m)
+    for i, j in np.ndindex(3, 2):
+        assert leaves[i, j].tolist() == eng.fafft_leaves(m, lanes[i, j].tolist())
+    assert small_blocks.inverse(leaves, m).tolist() == lanes.tolist()
+    products = small_blocks.pointwise(leaves[:, 0], leaves[:, 1], m)
+    back = small_blocks.inverse(products, m)
+    for i in range(3):
+        pairs = zip(leaves[i, 0].tolist(), leaves[i, 1].tolist())
+        assert products[i].tolist() == [eng.field.mul(x, y) for x, y in pairs]
+        assert back[i].tolist() == eng.ifafft_leaves(m, products[i].tolist())
+    for batch in ((0,), (2, 0)):
+        empty = small_blocks.forward(np.zeros(batch + (n,), dtype=np.uint8), m)
+        assert empty.shape == batch + (len(small_blocks.plan(m).leaf_max),)
+        assert small_blocks.inverse(small_blocks.pointwise(empty, empty, m), m).shape == batch + (n,)
 
 
 def test_leaf_count(lay):
